@@ -10,7 +10,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from bdi_pentest.actions import Privilege, buffer_overflow_attack, password_attack
+from bdi_pentest.actions import Privilege, resolve_attack
 from bdi_pentest.cli import main as cli_main
 from bdi_pentest.parser import parse_program
 from bdi_pentest.runner import EXHAUSTED, GOAL_ACHIEVED, run_batch, run_scenario
@@ -93,15 +93,15 @@ def test_criterion_3_per_attempt_success_rates(single_target_scenario):
     spec = single_target_scenario.targets[0]
     th = Thresholds()
 
-    def rate(attempt):
+    def rate(action, args, privilege):
         rng = RunRng(20260823)
-        return sum(attempt(rng).success for _ in range(N_SAMPLES)) / N_SAMPLES
+        return sum(resolve_attack(single_target_scenario, spec, action, args,
+                                  privilege, rng, th).success
+                   for _ in range(N_SAMPLES)) / N_SAMPLES
 
-    password = rate(lambda rng: password_attack(spec, "ssh", rng, th))
-    remote = rate(lambda rng: buffer_overflow_attack(
-        spec, "cve_remote", "remote", Privilege.NONE, rng, th))
-    local = rate(lambda rng: buffer_overflow_attack(
-        spec, "cve_local", "local", Privilege.USER, rng, th))
+    password = rate("password_attack", ("ssh",), Privilege.NONE)
+    remote = rate("bof_attack", ("cve_remote", "remote"), Privilege.NONE)
+    local = rate("bof_attack", ("cve_local", "local"), Privilege.USER)
 
     assert abs(password - 0.200) < 0.005
     assert abs(remote - 0.500) < 0.005
@@ -167,9 +167,6 @@ def test_criterion_6_behavioral_properties(single_target_scenario, single_target
         def __init__(self, outcomes):
             self.outcomes = outcomes
             self.calls = []
-
-        def perceive(self):
-            return []
 
         def execute(self, name, args):
             self.calls.append(name)

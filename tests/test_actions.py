@@ -1,23 +1,13 @@
 import pytest
 
 from bdi_pentest.actions import (
+    ActionError,
     AttackOutcome,
-    NoStaffKnown,
-    NoSubnetPeer,
-    PreconditionUnmet,
     Privilege,
-    UnknownAction,
-    UnknownTarget,
-    buffer_overflow_attack,
-    info_gather,
-    password_attack,
     privilege_transition,
     resolve_attack,
-    social_engineering_attack,
-    sniffer_attack,
-    sql_injection_attack,
 )
-from bdi_pentest.beliefs import percept_source
+from bdi_pentest.runner import RunContext
 from bdi_pentest.targets import (
     Credential,
     RunRng,
@@ -28,7 +18,7 @@ from bdi_pentest.targets import (
     Thresholds,
     Vulnerability,
 )
-from bdi_pentest.terms import literal_to_str
+from bdi_pentest.terms import Atom, literal_to_str
 
 TH = Thresholds()
 
@@ -46,6 +36,14 @@ LAN_HOST = TargetSpec(
 
 def fixed(*values):
     return RunRng(0, values)
+
+
+def attack(action, *args, spec=LAN_HOST, others=(), draw=None,
+           privilege=Privilege.NONE):
+    """resolve_attack against `spec` in a scenario of it and `others`."""
+    scenario = Scenario("s", (spec, *others))
+    return resolve_attack(scenario, spec, action, args, privilege,
+                          draw or fixed(0.9), TH)
 
 
 class TestPrivilege:
@@ -66,68 +64,63 @@ class TestPrivilege:
 
 class TestPasswordAttack:
     def test_threshold_boundary_draw_succeeds(self):
-        out = password_attack(LAN_HOST, "ssh", fixed(TH.password), TH)
+        out = attack("password_attack", "ssh", draw=fixed(TH.password))
         assert out.success and out.privilege_granted is Privilege.USER
 
     def test_below_threshold_fails_with_evidence(self):
-        out = password_attack(LAN_HOST, "ssh", fixed(0.13183533644420975), TH)
+        out = attack("password_attack", "ssh", draw=fixed(0.13183533644420975))
         assert not out.success and out.privilege_granted is None
         assert [literal_to_str(l) for l in out.evidence] == ["password_attack_failed"]
 
     def test_success_reveals_credential(self):
-        out = password_attack(LAN_HOST, "ssh", fixed(0.95), TH)
+        out = attack("password_attack", "ssh", draw=fixed(0.95))
         assert [literal_to_str(l) for l in out.evidence] == ['credential(ssh, "456")']
 
     def test_unloggable_service_is_precondition_error(self):
-        with pytest.raises(PreconditionUnmet):
-            password_attack(LAN_HOST, "nginx", fixed(0.9), TH)
-        with pytest.raises(PreconditionUnmet):
-            password_attack(LAN_HOST, "ftp", fixed(0.9), TH)
+        with pytest.raises(ActionError, match="no remotely loggable service 'nginx'"):
+            attack("password_attack", "nginx")
+        with pytest.raises(ActionError, match="no remotely loggable service 'ftp'"):
+            attack("password_attack", "ftp")
 
     def test_no_credential_short_circuits_without_draw(self):
         spec = TargetSpec("t", "linux", (22,), (Service(22, "ssh"),))
         rng = fixed(0.99)
-        out = password_attack(spec, "ssh", rng, TH)
+        out = attack("password_attack", "ssh", spec=spec, draw=rng)
         assert not out.success and out.draw is None
+        assert [literal_to_str(l) for l in out.evidence] == ["password_attack_failed"]
         assert rng.consumed == 0
 
 
 class TestBufferOverflow:
     def test_remote_at_threshold_succeeds(self):
-        out = buffer_overflow_attack(LAN_HOST, "cve_remote", "remote",
-                                     Privilege.NONE, fixed(TH.bof_remote), TH)
+        out = attack("bof_attack", "cve_remote", "remote", draw=fixed(TH.bof_remote))
         assert out.success and out.privilege_granted is Privilege.ROOT
         assert [literal_to_str(l) for l in out.evidence] == ['attacked("cve_remote")']
 
     def test_remote_below_threshold_fails(self):
-        out = buffer_overflow_attack(LAN_HOST, "cve_remote", "remote",
-                                     Privilege.NONE, fixed(0.49), TH)
+        out = attack("bof_attack", "cve_remote", "remote", draw=fixed(0.49))
         assert not out.success
         assert [literal_to_str(l) for l in out.evidence] == ["bof_attack_failed"]
 
     def test_local_requires_user_privilege(self):
-        with pytest.raises(PreconditionUnmet):
-            buffer_overflow_attack(LAN_HOST, "cve_local", "local",
-                                   Privilege.NONE, fixed(0.9), TH)
-        out = buffer_overflow_attack(LAN_HOST, "cve_local", "local",
-                                     Privilege.USER, fixed(0.7), TH)
+        with pytest.raises(ActionError, match="requires user privilege"):
+            attack("bof_attack", "cve_local", "local")
+        out = attack("bof_attack", "cve_local", "local", privilege=Privilege.USER,
+                     draw=fixed(0.7))
         assert out.success
 
     def test_mode_mismatch_is_precondition_error(self):
-        with pytest.raises(PreconditionUnmet):
-            buffer_overflow_attack(LAN_HOST, "cve_local", "remote",
-                                   Privilege.NONE, fixed(0.9), TH)
+        with pytest.raises(ActionError, match="'cve_local' is local, not remote"):
+            attack("bof_attack", "cve_local", "remote")
 
     def test_unknown_vulnerability_no_draw(self):
         rng = fixed(0.99)
-        out = buffer_overflow_attack(LAN_HOST, "cve_nope", "remote",
-                                     Privilege.NONE, rng, TH)
+        out = attack("bof_attack", "cve_nope", "remote", draw=rng)
         assert not out.success and rng.consumed == 0
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(PreconditionUnmet):
-            buffer_overflow_attack(LAN_HOST, "cve_remote", "sideways",
-                                   Privilege.ROOT, fixed(0.9), TH)
+        with pytest.raises(ActionError, match="bad buffer overflow mode 'sideways'"):
+            attack("bof_attack", "cve_remote", "sideways", privilege=Privilege.ROOT)
 
 
 class TestSqlInjection:
@@ -135,17 +128,17 @@ class TestSqlInjection:
                      (Vulnerability("cve_sqli", "sqli"),))
 
     def test_success_grants_web_privilege(self):
-        out = sql_injection_attack(self.WEB, fixed(TH.sqli), TH)
+        out = attack("sqli_attack", spec=self.WEB, draw=fixed(TH.sqli))
         assert out.success and out.privilege_granted is Privilege.WEB
 
     def test_no_web_service_is_precondition_error(self):
         spec = TargetSpec("t", "linux", (22,), (Service(22, "ssh"),))
-        with pytest.raises(PreconditionUnmet):
-            sql_injection_attack(spec, fixed(0.9), TH)
+        with pytest.raises(ActionError, match="no web service on port 80 of t"):
+            attack("sqli_attack", spec=spec)
 
     def test_no_sqli_vulnerability_no_draw(self):
         rng = fixed(0.99)
-        out = sql_injection_attack(LAN_HOST, rng, TH)
+        out = attack("sqli_attack", draw=rng)
         assert not out.success and rng.consumed == 0
 
 
@@ -154,24 +147,41 @@ class TestSniffer:
                       credentials=(Credential("ssh", "hunter2"),), subnet="lan0")
 
     def test_success_yields_host_credentials(self):
-        out = sniffer_attack(LAN_HOST, self.PEER, fixed(TH.sniffer), TH)
+        out = attack("sniffer_attack", "peer", others=(self.PEER,), draw=fixed(TH.sniffer))
         assert out.success and out.privilege_granted is Privilege.USER
         assert [literal_to_str(l) for l in out.evidence] == ['credential(ssh, "456")']
 
     def test_no_peer_raises(self):
-        with pytest.raises(NoSubnetPeer):
-            sniffer_attack(LAN_HOST, None, fixed(0.9), TH)
+        with pytest.raises(ActionError, match="target has no subnet peers"):
+            attack("sniffer_attack", "peer")
 
     def test_peer_off_subnet_is_precondition_error(self):
         other = TargetSpec("far", "linux", subnet="lan1")
-        with pytest.raises(PreconditionUnmet):
-            sniffer_attack(LAN_HOST, other, fixed(0.9), TH)
+        with pytest.raises(ActionError, match="far is not on target's subnet"):
+            attack("sniffer_attack", "far", others=(self.PEER, other))
 
     def test_uncompromisable_peer_no_draw(self):
         bare = TargetSpec("bare", "linux", subnet="lan0")
         rng = fixed(0.99)
-        out = sniffer_attack(LAN_HOST, bare, rng, TH)
+        out = attack("sniffer_attack", "bare", others=(bare,), draw=rng)
         assert not out.success and rng.consumed == 0
+
+    def test_target_is_not_its_own_peer(self):
+        rng = fixed(0.99)
+        with pytest.raises(ActionError, match="target is not its own subnet peer"):
+            attack("sniffer_attack", "target", others=(self.PEER,), draw=rng)
+        assert rng.consumed == 0
+
+    def test_self_sniff_is_logged_as_not_possible(self):
+        t0 = TargetSpec("t0", "linux", (22,), (Service(22, "ssh"),),
+                        credentials=(Credential("ssh", "x"),), subnet="lan0")
+        env = RunContext(Scenario("s", (t0, TargetSpec("t1", "linux", subnet="lan0"))),
+                         RunRng(0))
+        assert env.execute("sniffer_attack", (Atom("t0"), Atom("t0"))) == (False, [])
+        assert env.trace == ["[bdi_agent] sniffer attack via t0 not possible: "
+                             "t0 is not its own subnet peer"]
+        assert env.rng.consumed == 0 and env.steps == []
+        assert env.privilege["t0"] is Privilege.NONE
 
 
 class TestSocialEngineering:
@@ -180,30 +190,27 @@ class TestSocialEngineering:
                                 Staff("b@example.org", 0.30)))
 
     def test_uses_most_susceptible_staffer(self):
-        out = social_engineering_attack(self.STAFFED, fixed(0.70))
+        out = attack("social_attack", spec=self.STAFFED, draw=fixed(0.70))
         assert out.success
         assert [literal_to_str(l) for l in out.evidence] == ['phished("b@example.org")']
 
     def test_below_threshold_fails(self):
-        out = social_engineering_attack(self.STAFFED, fixed(0.69))
+        out = attack("social_attack", spec=self.STAFFED, draw=fixed(0.69))
         assert not out.success
 
     def test_no_staff_raises(self):
-        with pytest.raises(NoStaffKnown):
-            social_engineering_attack(LAN_HOST, fixed(0.9))
+        with pytest.raises(ActionError, match="no staff known for target"):
+            attack("social_attack")
 
 
 class TestDispatch:
     SCENARIO = Scenario("s", (LAN_HOST,))
 
-    def test_info_gather_tags_source(self):
-        percepts = info_gather(self.SCENARIO, "target", "os")
-        assert [literal_to_str(l) for l in percepts] == ["ostype(linux)[source(target)]"]
-        assert percept_source(percepts[0]) == "target"
-
-    def test_info_gather_unknown_target(self):
-        with pytest.raises(UnknownTarget):
-            info_gather(self.SCENARIO, "ghost", "os")
+    def test_execute_unknown_target(self):
+        env = RunContext(self.SCENARIO, RunRng(0))
+        assert env.execute("probe_os", (Atom("ghost"),)) == (False, [])
+        assert env.trace == ["[bdi_agent] unknown target: ghost"]
+        assert env.steps == []
 
     def test_resolve_routes_each_attack(self):
         out = resolve_attack(self.SCENARIO, LAN_HOST, "password_attack", ("ssh",),
@@ -211,12 +218,12 @@ class TestDispatch:
         assert out.action == "password_attack" and out.success
 
     def test_resolve_sniffer_needs_a_peer(self):
-        with pytest.raises(NoSubnetPeer):
+        with pytest.raises(ActionError, match="no subnet peers"):
             resolve_attack(self.SCENARIO, LAN_HOST, "sniffer_attack", ("peer",),
                            Privilege.NONE, fixed(0.9), TH)
 
     def test_resolve_unknown_action(self):
-        with pytest.raises(UnknownAction):
+        with pytest.raises(ActionError, match="unknown attack 'teleport'"):
             resolve_attack(self.SCENARIO, LAN_HOST, "teleport", (),
                            Privilege.NONE, fixed(0.9), TH)
 
@@ -235,21 +242,18 @@ class TestRealizedRates:
 
     N = 100_000
 
-    def _rate(self, attempt):
+    def _rate(self, action, *args, privilege=Privilege.NONE):
         rng = RunRng(42)
-        hits = sum(attempt(rng).success for _ in range(self.N))
+        hits = sum(attack(action, *args, privilege=privilege, draw=rng).success
+                   for _ in range(self.N))
         return hits / self.N
 
     def test_password_rate_is_point_two(self):
-        rate = self._rate(lambda rng: password_attack(LAN_HOST, "ssh", rng, TH))
-        assert abs(rate - 0.2) < 0.01
+        assert abs(self._rate("password_attack", "ssh") - 0.2) < 0.01
 
     def test_remote_bof_rate_is_point_five(self):
-        rate = self._rate(lambda rng: buffer_overflow_attack(
-            LAN_HOST, "cve_remote", "remote", Privilege.NONE, rng, TH))
-        assert abs(rate - 0.5) < 0.01
+        assert abs(self._rate("bof_attack", "cve_remote", "remote") - 0.5) < 0.01
 
     def test_local_bof_rate_is_point_seven(self):
-        rate = self._rate(lambda rng: buffer_overflow_attack(
-            LAN_HOST, "cve_local", "local", Privilege.USER, rng, TH))
+        rate = self._rate("bof_attack", "cve_local", "local", privilege=Privilege.USER)
         assert abs(rate - 0.7) < 0.01

@@ -120,13 +120,6 @@ def test_make_percept_replaces_existing_source():
     assert percept_source(lit("port", Number(80))) is None
 
 
-def test_copy_is_independent():
-    bb = BeliefBase([lit("port", Number(80))])
-    clone = bb.copy()
-    clone.add(lit("port", Number(22)))
-    assert len(bb) == 1 and len(clone) == 2
-
-
 # --- Model-based property vs a naive set oracle ----------------------------
 
 _names = st.sampled_from(["p", "q", "r"])

@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from bdi_pentest import cli
 from bdi_pentest.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -110,3 +112,42 @@ def test_repeat_prints_summary(capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("goal-achieved ") and "/50" in out
+
+
+ONE_TARGET = "targets:\n  - {name: t, os: linux}\n"
+
+
+@pytest.mark.parametrize("flags,scenario_text,agent_text,named", [
+    (["--repeat", "0"], None, None, "--repeat"),
+    (["--repeat", "-2"], None, None, "--repeat"),
+    ([], None, "port(80).\n+!g : true <- act.\n", "no initial goal"),
+    ([], "seed: true\n" + ONE_TARGET, None, "seed"),
+    ([], "max_cycles: true\n" + ONE_TARGET, None, "max_cycles"),
+    (["--seed", "-1"], None, None, "--seed"),
+    (["--max-cycles", "0"], None, None, "--max-cycles"),
+    (["--workers", "0", "--repeat", "2"], None, None, "--workers"),
+    (["--workers", str((os.cpu_count() or 1) + 1), "--repeat", "2"], None, None,
+     "--workers"),
+], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
+        "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
+        "workers-above-cpu-count"])
+def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
+                                                 scenario_text, agent_text, named):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("run_batch reached with invalid input")
+
+    # Rejected input must never reach run_batch, which may start worker processes.
+    monkeypatch.setattr(cli, "run_batch", no_batch)
+    scenario, agent = SCENARIO_FILE, AGENT
+    if scenario_text is not None:
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(scenario_text)
+    if agent_text is not None:
+        agent = tmp_path / "agent.asl"
+        agent.write_text(agent_text)
+    code = run_cli("--scenario", str(scenario), "--agent", str(agent), *flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err

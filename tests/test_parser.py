@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -61,16 +62,40 @@ def test_parse_minimal_plan():
 
 
 def test_trigger_forms_are_bijective():
-    src = """
-    +l. -l. +!g. -!g. +?g. -?g.
-    """.replace(". ", ".\n")
-    program = parse_program(src)
+    program = parse_program("+l.\n-l.\n+!g.\n")
     forms = [(p.trigger.op, p.trigger.kind) for p in program.plans]
-    assert forms == [("+", "belief"), ("-", "belief"), ("+", "achieve"),
-                     ("-", "achieve"), ("+", "test"), ("-", "test")]
+    assert forms == [("+", "belief"), ("-", "belief"), ("+", "achieve")]
     # Pretty-print then reparse preserves every form.
     assert [p.trigger for p in parse_program(program_to_str(program)).plans] == \
         [p.trigger for p in program.plans]
+
+
+@pytest.mark.parametrize("src,line,col,message", [
+    # Triggers the engine never posts, reported at the trigger.
+    ("-!g.", 1, 1, "never posts -! events"),
+    ("+?g.", 1, 1, "never posts +? events"),
+    ("!g.\n@t\n  -?g : true.", 3, 3, "never posts -? events"),
+    # Annotations the engine would ignore, reported at the '['.
+    ("+!g : service(ssh)[source(t1)] <- act.", 1, 19, "annotations"),
+    ("+!g : ~service(ssh)[source(t1)] <- act.", 1, 20, "annotations"),
+    ("+!g[source(self)] : true.", 1, 4, "annotations"),
+    ("+port(P)[source(t)] : true.", 1, 9, "annotations"),
+    ("+!g : true <- !sub[x].", 1, 19, "annotations"),
+    ("+!g : true <- ?port(P)[x]; act(P).", 1, 23, "annotations"),
+    ("+!g : true <- -port(80)[x].", 1, 24, "annotations"),
+    ("!privilege(root)[x].", 1, 17, "annotations"),
+])
+def test_forms_the_engine_cannot_run_are_rejected(src, line, col, message):
+    with pytest.raises(PlanSyntaxError, match=re.escape(message)) as e:
+        parse_program(src)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+def test_annotations_kept_on_initial_beliefs_and_added_beliefs():
+    program = parse_program("port(80)[source(t)].\n+!g : true <- +seen(t)[source(scan)].")
+    assert program.beliefs[0].annotations == frozenset({comp("source", Atom("t"))})
+    assert program.plans[0].body[0].literal.annotations == \
+        frozenset({comp("source", Atom("scan"))})
 
 
 def test_duplicate_label_rejected():
@@ -179,12 +204,16 @@ def _terms():
     return st.one_of(_ground_terms(), _var_names.map(Variable))
 
 
-def _literals(terms):
+def _literals(terms, annotated=False):
+    """Literals over `terms`; annotated ones only where the parser keeps
+    annotations (initial beliefs and +b steps)."""
     bodies = st.one_of(
         _atom_names.map(Atom),
         st.tuples(_atom_names, st.lists(terms, min_size=1, max_size=3))
         .map(lambda t: Compound(t[0], tuple(t[1]))),
     )
+    if not annotated:
+        return bodies.map(Literal)
     annotations = st.frozensets(_ground_terms(), max_size=2)
     return st.tuples(bodies, annotations).map(
         lambda t: Literal(t[0], annotations=t[1]))
@@ -215,7 +244,7 @@ def _steps():
         .map(lambda t: Action(t[0], tuple(t[1]))),
         ground_literals.map(AchieveGoal),
         _literals(_terms()).map(TestGoal),
-        ground_literals.map(AddBelief),
+        _literals(_ground_terms(), annotated=True).map(AddBelief),
         ground_literals.map(RemoveBelief),
         st.lists(_ground_terms(), min_size=1, max_size=2)
         .map(lambda a: InternalPrint(tuple(a))),
@@ -224,16 +253,12 @@ def _steps():
 
 def _plans(index):
     return st.tuples(
-        st.sampled_from(["+", "-"]),
-        st.sampled_from([BELIEF, ACHIEVE, "test"]),
+        st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]),
         _literals(_terms()),
         _contexts(),
         st.lists(_steps(), max_size=4),
-    ).map(lambda t: Plan(TriggerEvent(t[0], t[1], t[2]), t[3], tuple(t[4]),
+    ).map(lambda t: Plan(TriggerEvent(*t[0], t[1]), t[2], tuple(t[3]),
                          key=f"plan_{index}"))
-
-
-_ground_literals = _literals(_ground_terms())
 
 _programs = st.builds(
     lambda beliefs, goals, plans: AgentProgram(
@@ -241,8 +266,8 @@ _programs = st.builds(
         tuple(p if i == p.key.split("_")[1] else Plan(p.trigger, p.context, p.body,
                                                       key=f"plan_{i}")
               for i, p in enumerate(plans))),
-    st.lists(_ground_literals, max_size=3),
-    st.lists(_ground_literals, max_size=2),
+    st.lists(_literals(_ground_terms(), annotated=True), max_size=3),
+    st.lists(_literals(_ground_terms()), max_size=2),
     st.lists(_plans(0), max_size=4),
 )
 

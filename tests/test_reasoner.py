@@ -1,16 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdi_pentest.actions import ACTIONS
 from bdi_pentest.beliefs import BeliefBase
 from bdi_pentest.parser import TriggerEvent, parse_program
 from bdi_pentest.reasoner import (
     ACHIEVE,
     AgentState,
     CycleResult,
-    DEFAULT_PRIORITIES,
     Event,
     NoInitialGoal,
-    StepOutcome,
     applicable_plans,
     execute_step,
     goal_achieved,
@@ -37,9 +36,6 @@ class ScriptedEnv:
         self.percepts = percepts or {}
         self.calls = []
         self.trace = []
-
-    def perceive(self):
-        return []
 
     def execute(self, name, args):
         self.calls.append(name)
@@ -84,7 +80,7 @@ def test_init_merges_priority_overrides():
     state = init_agent(parse_program("!g."), {"bof_attack": 99, "mission": 7})
     assert state.priority_table["bof_attack"] == 99
     assert state.priority_table["mission"] == 7
-    assert state.priority_table["password_attack"] == DEFAULT_PRIORITIES["password_attack"]
+    assert state.priority_table["password_attack"] == ACTIONS["password_attack"].priority
 
 
 def test_belief_trigger_index_only_lists_belief_triggers():
@@ -106,7 +102,7 @@ def test_relevant_plans_match_op_kind_and_unify():
     program = parse_program(
         "@p1\n+!get(X) : true <- act(X).\n"
         "@p2\n+!get(port) : true <- act(port).\n"
-        "@p3\n-!get(port) : true.\n"
+        "@p3\n-get(port) : true.\n"
         "@p4\n+get(port) : true.\n")
     out = relevant_plans(program.plans, TriggerEvent("+", ACHIEVE, lit("get", Atom("port"))))
     assert [(p.label, u) for p, u in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
@@ -126,10 +122,10 @@ def test_plan_priority_lookup_order():
         "+!g : true <- bof_attack(t, v, remote).\n"
         "+!g : true <- +done.\n")
     labelled, by_action, bare = program.plans
-    table = dict(DEFAULT_PRIORITIES, mission=7)
+    table = dict(init_agent(parse_program("!g.")).priority_table, mission=7)
     assert plan_priority(labelled, table) == 7       # label wins
     assert plan_priority(by_action, table) == 30     # first action name
-    assert plan_priority(bare, table) == 0           # declared default
+    assert plan_priority(bare, table) == 0           # default
 
 
 def test_select_intention_priority_then_order_then_attempted():
@@ -138,13 +134,14 @@ def test_select_intention_priority_then_order_then_attempted():
         "@high\n+!g : true <- bof_attack(t, v, remote).\n"
         "@high2\n+!g : true <- bof_attack(t, v, remote).\n")
     desires = [(p, {}) for p in program.plans]
-    pick = select_intention(desires, DEFAULT_PRIORITIES, set())
+    table = init_agent(parse_program("!g.")).priority_table
+    pick = select_intention(desires, table, set())
     assert pick[0].label == "high"
-    pick = select_intention(desires, DEFAULT_PRIORITIES, {"high"})
+    pick = select_intention(desires, table, {"high"})
     assert pick[0].label == "high2"
-    pick = select_intention(desires, DEFAULT_PRIORITIES, {"high", "high2"})
+    pick = select_intention(desires, table, {"high", "high2"})
     assert pick[0].label == "low"
-    assert select_intention(desires, DEFAULT_PRIORITIES, {"low", "high", "high2"}) is None
+    assert select_intention(desires, table, {"low", "high", "high2"}) is None
 
 
 # --- context solving --------------------------------------------------------
@@ -328,7 +325,8 @@ def test_execute_step_pops_finished_frames():
     state = init_agent(parse_program("!g.\n+!g : true <- act_a."))
     reasoning_cycle(state, env)
     intention = state.intentions[0]
-    assert execute_step(state, env, intention) is StepOutcome.INTENTION_DONE
+    execute_step(state, env, intention)
+    assert intention.frames == []
     assert intention.status == "done"
 
 
