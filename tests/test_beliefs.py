@@ -78,11 +78,6 @@ def test_query_ground_pattern():
     assert bb.query(lit("service", Atom("ftp"))) == []
 
 
-def test_query_respects_polarity():
-    bb = BeliefBase([lit("up")])
-    assert bb.query(Literal(Atom("up"), polarity="negated")) == []
-
-
 def test_query_threads_existing_substitution():
     bb = BeliefBase([lit("pair", Atom("a"), Atom("b"))])
     pattern = Literal(comp("pair", Variable("X"), Variable("Y")))
@@ -126,10 +121,8 @@ _names = st.sampled_from(["p", "q", "r"])
 _args = st.lists(st.one_of(st.sampled_from("abc").map(Atom),
                            st.integers(0, 3).map(Number)),
                  max_size=2)
-_pol = st.sampled_from(["positive", "negated"])
 _ground_literals = st.builds(
-    lambda n, a, pol: Literal(Compound(n, tuple(a)) if a else Atom(n), polarity=pol),
-    _names, _args, _pol)
+    lambda n, a: Literal(Compound(n, tuple(a)) if a else Atom(n)), _names, _args)
 
 _ops = st.lists(st.tuples(st.sampled_from(["add", "remove"]), _ground_literals),
                 min_size=0, max_size=1000)

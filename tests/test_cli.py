@@ -114,6 +114,12 @@ def test_repeat_prints_summary(capsys):
     assert out.startswith("goal-achieved ") and "/50" in out
 
 
+def test_repeat_exits_zero_whatever_the_ratio(capsys):
+    code = run_cli("--scenario", HARDENED, "--agent", AGENT, "--repeat", "3")
+    assert code == 0
+    assert capsys.readouterr().out == "goal-achieved 0/3 (0.0000)\n"
+
+
 ONE_TARGET = "targets:\n  - {name: t, os: linux}\n"
 
 

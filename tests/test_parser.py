@@ -77,13 +77,20 @@ def test_trigger_forms_are_bijective():
     ("!g.\n@t\n  -?g : true.", 3, 3, "never posts -? events"),
     # Annotations the engine would ignore, reported at the '['.
     ("+!g : service(ssh)[source(t1)] <- act.", 1, 19, "annotations"),
-    ("+!g : ~service(ssh)[source(t1)] <- act.", 1, 20, "annotations"),
+    # There is no strong negation; `not` is the only negation.
+    ("+!g : ~service(ssh)[source(t1)] <- act.", 1, 7, "unexpected character '~'"),
     ("+!g[source(self)] : true.", 1, 4, "annotations"),
     ("+port(P)[source(t)] : true.", 1, 9, "annotations"),
     ("+!g : true <- !sub[x].", 1, 19, "annotations"),
     ("+!g : true <- ?port(P)[x]; act(P).", 1, 23, "annotations"),
     ("+!g : true <- -port(80)[x].", 1, 24, "annotations"),
     ("!privilege(root)[x].", 1, 17, "annotations"),
+    # Body variables bound only under `not`, on one side of `|`, by a
+    # comparison other than `=`, or by an earlier `.print`, reported at the plan.
+    ("+!g : not missing(X) <- probe_os(X).", 1, 1, "variable X is not bound"),
+    ("!g.\n+!g : a(X) | b <- probe_os(X).", 2, 1, "variable X is not bound"),
+    ("+!g : X != a <- probe_os(X).", 1, 1, "variable X is not bound"),
+    ("+!g : true <- .print(X); probe_os(X).", 1, 1, "variable X is not bound"),
 ])
 def test_forms_the_engine_cannot_run_are_rejected(src, line, col, message):
     with pytest.raises(PlanSyntaxError, match=re.escape(message)) as e:
@@ -125,6 +132,12 @@ def test_bare_variable_literal_rejected():
 def test_unbound_body_variable_rejected():
     with pytest.raises(PlanSyntaxError):
         parse_program("+!g : true <- act(X).")
+
+
+@pytest.mark.parametrize("context", [
+    "a(X) | b(X)", "X = Y", "not b(X) & a(X)", "(a(X) | b(X, Y)) & X > 1"])
+def test_context_binding_forms_accepted(context):
+    parse_program(f"+!g : {context} <- act(X).")
 
 
 def test_test_goal_binds_later_steps():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdi_pentest.actions import ACTIONS
 from bdi_pentest.beliefs import BeliefBase
-from bdi_pentest.parser import TriggerEvent, parse_program
+from bdi_pentest.parser import BELIEF, AgentProgram, Plan, TriggerEvent, TrueConst, parse_program
 from bdi_pentest.reasoner import (
     ACHIEVE,
     AgentState,
@@ -21,7 +21,7 @@ from bdi_pentest.reasoner import (
     select_intention,
     solve,
 )
-from bdi_pentest.terms import Atom, Compound, Literal, Number, Variable
+from bdi_pentest.terms import Atom, Compound, Literal, Number, Variable, unify
 
 
 def lit(functor, *args):
@@ -83,9 +83,17 @@ def test_init_merges_priority_overrides():
     assert state.priority_table["password_attack"] == ACTIONS["password_attack"].priority
 
 
-def test_belief_trigger_index_only_lists_belief_triggers():
-    state = init_agent(parse_program("!g.\n+foo(X) : true <- act(X).\n+!bar : true.\n"))
-    assert state.belief_trigger_index == frozenset({("+", "foo", 1)})
+def test_triggers_bucket_plans_by_signature_in_library_order():
+    state = init_agent(parse_program(
+        "!g.\n@a\n+foo(X) : true <- act(X).\n@b\n+!foo(x) : true.\n"
+        "@c\n+foo(y) : true.\n@d\n-foo(y) : true.\n@e\n+foo : true.\n"
+        "@f\n+!foo(Y) : true.\n"))
+    assert {key: [p.label for p in plans] for key, plans in state.triggers.items()} == {
+        ("+", "belief", "foo", 1): ["a", "c"],
+        ("+", "achieve", "foo", 1): ["b", "f"],
+        ("-", "belief", "foo", 1): ["d"],
+        ("+", "belief", "foo", 0): ["e"],
+    }
 
 
 # --- selection functions ----------------------------------------------------
@@ -99,19 +107,20 @@ def test_select_event_is_fifo():
 
 
 def test_relevant_plans_match_op_kind_and_unify():
-    program = parse_program(
+    state = init_agent(parse_program(
+        "!g.\n"
         "@p1\n+!get(X) : true <- act(X).\n"
         "@p2\n+!get(port) : true <- act(port).\n"
         "@p3\n-get(port) : true.\n"
-        "@p4\n+get(port) : true.\n")
-    out = relevant_plans(program.plans, TriggerEvent("+", ACHIEVE, lit("get", Atom("port"))))
+        "@p4\n+get(port) : true.\n"))
+    out = relevant_plans(state.triggers, TriggerEvent("+", ACHIEVE, lit("get", Atom("port"))))
     assert [(p.label, u) for p, u in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
 
 
 def test_applicable_plans_one_desire_per_context_solution():
-    program = parse_program("@p\n+!g : port(P) <- act(P).\n")
+    state = init_agent(parse_program("!g.\n@p\n+!g : port(P) <- act(P).\n"))
     beliefs = BeliefBase([lit("port", Number(80)), lit("port", Number(22))])
-    relevant = relevant_plans(program.plans, TriggerEvent("+", ACHIEVE, lit("g")))
+    relevant = relevant_plans(state.triggers, TriggerEvent("+", ACHIEVE, lit("g")))
     desires = applicable_plans(relevant, beliefs)
     assert [u["P"] for _, u in desires] == [Number(80), Number(22)]
 
@@ -350,3 +359,32 @@ def test_no_plan_selected_twice_per_goal_event(succeeds):
     else:
         assert result is CycleResult.EXHAUSTED
         assert len(env.calls) == len(succeeds)
+
+
+# --- property: the trigger table finds what a scan of the library finds ----
+
+def _scan_relevant(library, event):
+    """The linear scan the trigger table replaces: every plan of the library
+    whose op and kind match and whose trigger unifies with the event."""
+    out = []
+    for plan in library:
+        if (plan.trigger.op, plan.trigger.kind) == (event.op, event.kind):
+            u = unify(plan.trigger.literal.term, event.literal.term)
+            if u is not None:
+                out.append((plan, u))
+    return out
+
+
+_args = st.lists(st.one_of(st.sampled_from("ab").map(Atom), st.sampled_from("XY").map(Variable),
+                           st.integers(0, 1).map(Number)), max_size=2)
+_lits = st.builds(lambda n, a: lit(n, *a), st.sampled_from(["p", "q"]), _args)
+_triggers = st.builds(lambda form, l: TriggerEvent(*form, l),
+                      st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]), _lits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_triggers, max_size=12), _triggers)
+def test_trigger_table_matches_library_scan(triggers, event):
+    library = tuple(Plan(t, TrueConst(), (), key=f"plan_{i}") for i, t in enumerate(triggers))
+    state = init_agent(AgentProgram(goals=(lit("g"),), plans=library))
+    assert relevant_plans(state.triggers, event) == _scan_relevant(library, event)

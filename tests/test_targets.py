@@ -78,6 +78,8 @@ def test_threshold_overrides():
     ("targets:\n  - {name: t, os: linux, ports: [99999]}", "ports[0]"),
     ("targets:\n  - name: t\n    os: linux\n    services: [{port: 22, name: ssh}]",
      "services[0].port"),
+    ("targets:\n  - name: t\n    os: linux\n    ports: [1]\n    services: [{port: true, name: ssh}]",
+     "services[0].port"),
     ("targets:\n  - name: t\n    os: linux\n    vulnerabilities: [{id: v, kind: warp}]",
      "vulnerabilities[0].kind"),
     ("targets:\n  - name: t\n    os: linux\n    vulnerabilities:\n"

@@ -13,7 +13,6 @@ from bdi_pentest.terms import (
     substitute,
     term_to_str,
     unify,
-    unify_literals,
 )
 
 
@@ -63,23 +62,10 @@ def test_literal_rejects_bare_variable():
         Literal(Variable("X"))
 
 
-def test_literal_polarity_matters_for_unification():
-    a = Literal(Atom("up"))
-    b = Literal(Atom("up"), polarity="negated")
-    assert unify_literals(a, b) is None
-    assert unify_literals(a, a) == {}
-
-
-def test_annotations_ignored_by_unification():
-    a = Literal(Atom("up"), annotations=frozenset({Atom("x")}))
-    assert unify_literals(a, Literal(Atom("up"))) == {}
-
-
 def test_literal_to_str():
     l = Literal(comp("ostype", Atom("linux")),
                 annotations=frozenset({comp("source", Atom("target"))}))
     assert literal_to_str(l) == "ostype(linux)[source(target)]"
-    assert literal_to_str(l, annotations=False) == "ostype(linux)"
 
 
 def test_term_to_str_string_escaping():
