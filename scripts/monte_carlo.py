@@ -10,6 +10,7 @@ Usage: monte_carlo.py [--runs N] [--workers W]
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -19,15 +20,22 @@ sys.path.insert(0, str(REPO / "src"))
 
 from bdi_pentest import load_scenario, parse_program  # noqa: E402
 from bdi_pentest.runner import GOAL_ACHIEVED, run_batch  # noqa: E402
+from bdi_pentest.targets import ConfigError, check_int  # noqa: E402
 
 CLOSED_FORM = 1 - (1 - 0.5) * (1 - 0.2 * 0.7)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=100_000)
     ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        check_int(args.runs, "--runs", 1)
+        check_int(args.workers, "--workers", 1, os.cpu_count() or 1)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     scenario = load_scenario((REPO / "scenarios" / "single_target.yaml").read_text())
     program = parse_program((REPO / "scenarios" / "single_target_agent.asl").read_text())

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdi_pentest.beliefs import (
     ADD,
@@ -10,7 +10,7 @@ from bdi_pentest.beliefs import (
     make_percept,
     percept_source,
 )
-from bdi_pentest.terms import Atom, Compound, Literal, Number, Variable
+from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable, unify
 
 
 def comp(functor, *args):
@@ -161,3 +161,46 @@ def test_event_count_equals_symmetric_difference(literals):
         removed.extend(bb.remove(l))
     assert len(removed) == len(set(literals))
     assert len(bb) == 0
+
+
+# --- property: a query answers what a scan of the stored literals answers ---
+
+def _scan_query(bb, pattern, s=None):
+    """The linear scan ground lookups replace: every stored literal with the
+    pattern's functor and arity, in insertion order, that unifies with it."""
+    out = []
+    for stored in bb:
+        if (stored.functor, stored.arity) == (pattern.functor, pattern.arity):
+            u = unify(pattern.term, stored.term, s)
+            if u is not None:
+                out.append(u)
+    return out
+
+
+_ground_terms = st.sampled_from([Atom("a"), Atom("b"), Number(0), Number(1), Number(1.0),
+                                 StringLit("a"), comp("f", Atom("a"))])
+_pattern_terms = st.one_of(_ground_terms, st.sampled_from(
+    [Variable("X"), Variable("Y"), comp("f", Variable("X"))]))
+_sources = st.sets(st.sampled_from(["self", "target"]), max_size=2).map(
+    lambda names: frozenset(comp("source", Atom(n)) for n in names))
+
+
+def _literals(args):
+    return st.builds(lambda n, a, anns: Literal(comp(n, *a) if a else Atom(n), anns),
+                     st.sampled_from(["p", "q"]), st.lists(args, max_size=2), _sources)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _literals(_ground_terms)), max_size=20),
+       _literals(_pattern_terms),
+       st.sampled_from([None, {}, {"X": Atom("a")}, {"Z": comp("f", Variable("W")), "W": Atom("b")},
+                        {"X": Variable("Y"), "Y": Atom("a")}, {"X": Variable("Y")}]))
+@example([(True, lit("p", Atom("a")))], make_percept(lit("p", Atom("a")), "self"), None)
+@example([(True, lit("p", Number(1.0)))], lit("p", Number(1)), {"X": Variable("Y"), "Y": Atom("a")})
+def test_query_matches_linear_scan(ops, pattern, s):
+    """Ground and non-ground patterns, annotated or not, present or absent,
+    under no, idempotent and non-idempotent substitutions."""
+    bb = BeliefBase()
+    for add, literal in ops:
+        (bb.add if add else bb.remove)(literal)
+    assert bb.query(pattern, s) == _scan_query(bb, pattern, s)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -123,6 +124,10 @@ def test_repeat_exits_zero_whatever_the_ratio(capsys):
 ONE_TARGET = "targets:\n  - {name: t, os: linux}\n"
 
 
+def _no_batch(*args, **kwargs):
+    raise AssertionError("run_batch reached with invalid input")
+
+
 @pytest.mark.parametrize("flags,scenario_text,agent_text,named", [
     (["--repeat", "0"], None, None, "--repeat"),
     (["--repeat", "-2"], None, None, "--repeat"),
@@ -134,16 +139,15 @@ ONE_TARGET = "targets:\n  - {name: t, os: linux}\n"
     (["--workers", "0", "--repeat", "2"], None, None, "--workers"),
     (["--workers", str((os.cpu_count() or 1) + 1), "--repeat", "2"], None, None,
      "--workers"),
+    (["--report", "{missing}/r.txt"], None, None, "missing"),
+    (["--trace", "{missing}/t.txt"], None, None, "missing"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
         "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
-        "workers-above-cpu-count"])
+        "workers-above-cpu-count", "report-unwritable", "trace-unwritable"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
-    def no_batch(*args, **kwargs):
-        raise AssertionError("run_batch reached with invalid input")
-
     # Rejected input must never reach run_batch, which may start worker processes.
-    monkeypatch.setattr(cli, "run_batch", no_batch)
+    monkeypatch.setattr(cli, "run_batch", _no_batch)
     scenario, agent = SCENARIO_FILE, AGENT
     if scenario_text is not None:
         scenario = tmp_path / "scenario.yaml"
@@ -151,8 +155,33 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, 
     if agent_text is not None:
         agent = tmp_path / "agent.asl"
         agent.write_text(agent_text)
+    flags = [f.format(missing=tmp_path / "missing") for f in flags]
     code = run_cli("--scenario", str(scenario), "--agent", str(agent), *flags)
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+def _load_monte_carlo():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "monte_carlo.py"
+    spec = importlib.util.spec_from_file_location("monte_carlo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--runs", "0"], "--runs"),
+    (["--runs", "-5"], "--runs"),
+    (["--workers", "0"], "--workers"),
+    (["--workers", str((os.cpu_count() or 1) + 1)], "--workers"),
+], ids=["runs-zero", "runs-negative", "workers-zero", "workers-above-cpu-count"])
+def test_monte_carlo_bad_input_exits_two_with_one_error_line(capsys, monkeypatch, flags, named):
+    monte_carlo = _load_monte_carlo()
+    monkeypatch.setattr(monte_carlo, "run_batch", _no_batch)
+    assert monte_carlo.main(flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdi_pentest.actions import ACTIONS
 from bdi_pentest.beliefs import BeliefBase
@@ -21,7 +21,7 @@ from bdi_pentest.reasoner import (
     select_intention,
     solve,
 )
-from bdi_pentest.terms import Atom, Compound, Literal, Number, Variable, unify
+from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable, unify
 
 
 def lit(functor, *args):
@@ -87,12 +87,15 @@ def test_triggers_bucket_plans_by_signature_in_library_order():
     state = init_agent(parse_program(
         "!g.\n@a\n+foo(X) : true <- act(X).\n@b\n+!foo(x) : true.\n"
         "@c\n+foo(y) : true.\n@d\n-foo(y) : true.\n@e\n+foo : true.\n"
-        "@f\n+!foo(Y) : true.\n"))
-    assert {key: [p.label for p in plans] for key, plans in state.triggers.items()} == {
-        ("+", "belief", "foo", 1): ["a", "c"],
-        ("+", "achieve", "foo", 1): ["b", "f"],
-        ("-", "belief", "foo", 1): ["d"],
-        ("+", "belief", "foo", 0): ["e"],
+        "@f\n+!foo(Y) : true.\n@g\n+!bar(s(a), Z) : true.\n@h\n+!bar(s(Z), a) : true.\n"))
+    # Each plan sits beside its trigger's first argument when that is ground.
+    assert {key: [(p.label, first) for p, first in plans]
+            for key, plans in state.triggers.items()} == {
+        ("+", "belief", "foo", 1): [("a", None), ("c", Atom("y"))],
+        ("+", "achieve", "foo", 1): [("b", Atom("x")), ("f", None)],
+        ("-", "belief", "foo", 1): [("d", Atom("y"))],
+        ("+", "belief", "foo", 0): [("e", None)],
+        ("+", "achieve", "bar", 2): [("g", Compound("s", (Atom("a"),))), ("h", None)],
     }
 
 
@@ -375,15 +378,30 @@ def _scan_relevant(library, event):
     return out
 
 
-_args = st.lists(st.one_of(st.sampled_from("ab").map(Atom), st.sampled_from("XY").map(Variable),
-                           st.integers(0, 1).map(Number)), max_size=2)
+# Arguments that meet every equality edge of the first-argument filter:
+# Number(1) equals Number(1.0), StringLit("a") is not Atom("a"), and f(a) is a
+# ground compound where f(X) is not. An empty list makes an arity-0 trigger.
+_args = st.lists(st.sampled_from([
+    Atom("a"), Atom("b"), Variable("X"), Variable("Y"), Number(0), Number(1), Number(1.0),
+    StringLit("a"), Compound("f", (Atom("a"),)), Compound("f", (Variable("X"),)),
+]), max_size=2)
 _lits = st.builds(lambda n, a: lit(n, *a), st.sampled_from(["p", "q"]), _args)
 _triggers = st.builds(lambda form, l: TriggerEvent(*form, l),
                       st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]), _lits)
 
 
+def _achieve(*args):
+    return TriggerEvent("+", ACHIEVE, lit("p", *args))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_triggers, max_size=12), _triggers)
+@example([_achieve(Number(1.0)), _achieve(Number(0))], _achieve(Number(1)))
+@example([_achieve(StringLit("a")), _achieve(Atom("a"))], _achieve(StringLit("a")))
+@example([_achieve(Compound("f", (Atom("a"),))), _achieve(Compound("f", (Variable("X"),))),
+          _achieve(Compound("f", (Atom("b"),)))], _achieve(Compound("f", (Atom("a"),))))
+@example([_achieve(Atom("a")), _achieve(Variable("X"))], _achieve(Compound("f", (Variable("X"),))))
+@example([_achieve(), _achieve(Atom("a"))], _achieve())
 def test_trigger_table_matches_library_scan(triggers, event):
     library = tuple(Plan(t, TrueConst(), (), key=f"plan_{i}") for i, t in enumerate(triggers))
     state = init_agent(AgentProgram(goals=(lit("g"),), plans=library))
