@@ -164,6 +164,19 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, 
     assert named in captured.err
 
 
+def _failing_run(*args, **kwargs):
+    raise RuntimeError("run failed")
+
+
+def test_existing_report_kept_when_the_run_fails(tmp_path, monkeypatch):
+    report = tmp_path / "r.txt"
+    report.write_text("old report\n")
+    monkeypatch.setattr(cli, "run_scenario", _failing_run)
+    with pytest.raises(RuntimeError):
+        run_cli("--scenario", SCENARIO_FILE, "--agent", AGENT, "--report", str(report))
+    assert report.read_text() == "old report\n"
+
+
 def _load_monte_carlo():
     path = Path(__file__).resolve().parent.parent / "scripts" / "monte_carlo.py"
     spec = importlib.util.spec_from_file_location("monte_carlo", path)
