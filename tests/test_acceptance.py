@@ -14,7 +14,7 @@ from bdi_pentest.actions import Privilege, resolve_attack
 from bdi_pentest.cli import main as cli_main
 from bdi_pentest.parser import parse_program
 from bdi_pentest.runner import EXHAUSTED, GOAL_ACHIEVED, run_batch, run_scenario
-from bdi_pentest.targets import RunRng, Thresholds
+from bdi_pentest.targets import RunRng
 
 REPO = Path(__file__).resolve().parent.parent
 AGENT = str(REPO / "scenarios" / "single_target_agent.asl")
@@ -91,12 +91,11 @@ def test_criterion_2_escalation_path(single_target_scenario, single_target_progr
 
 def test_criterion_3_per_attempt_success_rates(single_target_scenario):
     spec = single_target_scenario.targets[0]
-    th = Thresholds()
 
     def rate(action, args, privilege):
         rng = RunRng(20260823)
         return sum(resolve_attack(single_target_scenario, spec, action, args,
-                                  privilege, rng, th).success
+                                  privilege, rng).success
                    for _ in range(N_SAMPLES)) / N_SAMPLES
 
     password = rate("password_attack", ("ssh",), Privilege.NONE)
@@ -161,7 +160,7 @@ def test_criterion_6_behavioral_properties(single_target_scenario, single_target
         assert all(a <= b for a, b in zip(levels, levels[1:]))
 
     # Failure recovery terminates without reselecting a plan for its event.
-    from bdi_pentest.reasoner import CycleResult, init_agent, reasoning_cycle
+    from bdi_pentest.reasoner import RUNNING, init_agent, reasoning_cycle
 
     class _Env:
         def __init__(self, outcomes):
@@ -184,12 +183,11 @@ def test_criterion_6_behavioral_properties(single_target_scenario, single_target
             for i, ok in enumerate(succeeds))
         env = _Env({f"act_{i}": ok for i, ok in enumerate(succeeds)})
         state = init_agent(parse_program("!g.\n" + plans))
-        result = CycleResult.RUNNING
-        while state.cycle_count < 200 and result is CycleResult.RUNNING:
+        result = RUNNING
+        while state.cycle_count < 200 and result == RUNNING:
             result = reasoning_cycle(state, env)
         assert len(env.calls) == len(set(env.calls))
-        assert result is (CycleResult.GOAL_ACHIEVED if any(succeeds)
-                          else CycleResult.EXHAUSTED)
+        assert result == (GOAL_ACHIEVED if any(succeeds) else EXHAUSTED)
 
     no_plan_retried()
     _ok(6, "determinism, privilege monotonicity, and failure-recovery "

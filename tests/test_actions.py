@@ -43,7 +43,7 @@ def attack(action, *args, spec=LAN_HOST, others=(), draw=None,
     """resolve_attack against `spec` in a scenario of it and `others`."""
     scenario = Scenario("s", (spec, *others))
     return resolve_attack(scenario, spec, action, args, privilege,
-                          draw or fixed(0.9), TH)
+                          draw or fixed(0.9))
 
 
 class TestPrivilege:
@@ -212,27 +212,33 @@ class TestDispatch:
         assert env.trace == ["[bdi_agent] unknown target: ghost"]
         assert env.steps == []
 
+    def test_execute_unknown_action(self):
+        env = RunContext(self.SCENARIO, RunRng(0))
+        assert env.execute("teleport", (Atom("target"),)) == (False, [])
+        assert env.trace == ["[bdi_agent] unknown action: teleport/1"]
+        assert env.steps == []
+
     def test_resolve_routes_each_attack(self):
         out = resolve_attack(self.SCENARIO, LAN_HOST, "password_attack", ("ssh",),
-                             Privilege.NONE, fixed(0.9), TH)
+                             Privilege.NONE, fixed(0.9))
         assert out.action == "password_attack" and out.success
 
     def test_resolve_sniffer_needs_a_peer(self):
         with pytest.raises(ActionError, match="no subnet peers"):
             resolve_attack(self.SCENARIO, LAN_HOST, "sniffer_attack", ("peer",),
-                           Privilege.NONE, fixed(0.9), TH)
+                           Privilege.NONE, fixed(0.9))
 
-    def test_resolve_unknown_action(self):
-        with pytest.raises(ActionError, match="unknown attack 'teleport'"):
-            resolve_attack(self.SCENARIO, LAN_HOST, "teleport", (),
-                           Privilege.NONE, fixed(0.9), TH)
+    def test_thresholds_come_from_the_scenario(self):
+        strict = Scenario("s", (LAN_HOST,), Thresholds(password=0.95))
+        assert not resolve_attack(strict, LAN_HOST, "password_attack", ("ssh",),
+                                  Privilege.NONE, fixed(0.9)).success
 
     def test_one_draw_per_chance_based_attempt(self):
         rng = RunRng(7)
         resolve_attack(self.SCENARIO, LAN_HOST, "password_attack", ("ssh",),
-                       Privilege.NONE, rng, TH)
+                       Privilege.NONE, rng)
         resolve_attack(self.SCENARIO, LAN_HOST, "bof_attack",
-                       ("cve_remote", "remote"), Privilege.NONE, rng, TH)
+                       ("cve_remote", "remote"), Privilege.NONE, rng)
         assert rng.consumed == 2
 
 

@@ -141,9 +141,20 @@ def _no_batch(*args, **kwargs):
      "--workers"),
     (["--report", "{missing}/r.txt"], None, None, "missing"),
     (["--trace", "{missing}/t.txt"], None, None, "missing"),
+    (["--draws", "0.5,abc"], None, None, "--draws"),
+    (["--draws", "1.5"], None, None, "--draws"),
+    # --repeat takes only --seed and --workers; it would ignore the rest.
+    (["--repeat", "3", "--report", "{missing}/r.txt"], None, None, "--report"),
+    (["--repeat", "3", "--trace", "{missing}/t.txt"], None, None, "--trace"),
+    (["--repeat", "3", "--format", "human"], None, None, "--format"),
+    (["--repeat", "3", "--draws", "0.99,0.99"], None, None, "--draws"),
+    (["--repeat", "3", "--max-cycles", "5"], None, None, "--max-cycles"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
         "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
-        "workers-above-cpu-count", "report-unwritable", "trace-unwritable"])
+        "workers-above-cpu-count", "report-unwritable", "trace-unwritable",
+        "draws-not-a-number", "draws-out-of-range", "repeat-with-report",
+        "repeat-with-trace", "repeat-with-format", "repeat-with-draws",
+        "repeat-with-max-cycles"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.
@@ -161,6 +172,9 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # A flag's error line names the flag first.
+    if named.startswith("--"):
+        assert captured.err.startswith(f"error: {named}: ")
     assert named in captured.err
 
 

@@ -13,7 +13,6 @@ from bdi_pentest.parser import (
     And,
     BELIEF,
     Comparison,
-    DuplicateLabelError,
     InternalPrint,
     LiteralCond,
     Not,
@@ -25,9 +24,17 @@ from bdi_pentest.parser import (
     TriggerEvent,
     TrueConst,
     parse_program,
-    program_to_str,
 )
-from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable
+from bdi_pentest.terms import (
+    Atom,
+    Compound,
+    Literal,
+    Number,
+    StringLit,
+    Variable,
+    literal_to_str,
+    term_to_str,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -107,8 +114,9 @@ def test_annotations_kept_on_initial_beliefs_and_added_beliefs():
 
 def test_duplicate_label_rejected():
     src = "@p\n+!a : true.\n@p\n+!b : true."
-    with pytest.raises(DuplicateLabelError):
+    with pytest.raises(PlanSyntaxError, match="duplicate plan label @p") as e:
         parse_program(src)
+    assert (e.value.line, e.value.col) == (3, 1)
 
 
 def test_syntax_error_carries_position():
@@ -193,6 +201,51 @@ def test_gathering_attack_program_shape():
 
 
 # --- Round-trip property ---------------------------------------------------
+#
+# The printer below is the oracle: parse_program(program_to_str(p)) == p.
+# It brackets every `&`, `|` and `not` operand, so it needs no precedence.
+
+def _terms_str(terms):
+    return ", ".join(term_to_str(t) for t in terms)
+
+
+def _context_str(f):
+    if isinstance(f, TrueConst):
+        return "true"
+    if isinstance(f, LiteralCond):
+        return literal_to_str(f.literal)
+    if isinstance(f, Comparison):
+        return f"{term_to_str(f.lhs)} {f.op} {term_to_str(f.rhs)}"
+    if isinstance(f, Not):
+        return f"not ({_context_str(f.operand)})"
+    op = "&" if isinstance(f, And) else "|"
+    return f"({_context_str(f.left)}) {op} ({_context_str(f.right)})"
+
+
+_STEP_MARKS = {AchieveGoal: "!", TestGoal: "?", AddBelief: "+", RemoveBelief: "-"}
+
+
+def _step_str(s):
+    if isinstance(s, Action):
+        return f"{s.name}({_terms_str(s.args)})" if s.args else s.name
+    if isinstance(s, InternalPrint):
+        return f".print({_terms_str(s.args)})"
+    return _STEP_MARKS[type(s)] + literal_to_str(s.literal)
+
+
+def _plan_str(p):
+    label = f"@{p.label}\n" if p.label is not None else ""
+    mark = "!" if p.trigger.kind == ACHIEVE else ""
+    body = f"\n<- {'; '.join(_step_str(s) for s in p.body)}" if p.body else ""
+    return (f"{label}{p.trigger.op}{mark}{literal_to_str(p.trigger.literal)}"
+            f" : {_context_str(p.context)}{body}.")
+
+
+def program_to_str(p):
+    return "\n".join([f"{literal_to_str(b)}." for b in p.beliefs]
+                     + [f"!{literal_to_str(g)}." for g in p.goals]
+                     + [_plan_str(plan) for plan in p.plans]) + "\n"
+
 
 _atom_names = st.text(alphabet="abcdefgh", min_size=1, max_size=5)
 _var_names = st.sampled_from(["X", "Y", "Z"])

@@ -7,7 +7,9 @@ from bdi_pentest.parser import BELIEF, AgentProgram, Plan, TriggerEvent, TrueCon
 from bdi_pentest.reasoner import (
     ACHIEVE,
     AgentState,
-    CycleResult,
+    EXHAUSTED,
+    GOAL_ACHIEVED,
+    RUNNING,
     Event,
     NoInitialGoal,
     applicable_plans,
@@ -48,8 +50,8 @@ class ScriptedEnv:
 def run(source, env=None, priorities=None, cap=100):
     env = env or ScriptedEnv()
     state = init_agent(parse_program(source), priorities)
-    result = CycleResult.RUNNING
-    while state.cycle_count < cap and result is CycleResult.RUNNING:
+    result = RUNNING
+    while state.cycle_count < cap and result == RUNNING:
         result = reasoning_cycle(state, env)
     return result, state, env
 
@@ -224,19 +226,19 @@ def test_test_goal_binds_first_solution():
     env = ScriptedEnv()
     result, state, env = run(
         "port(80). port(22).\n!g.\n+!g : true <- ?port(P); act(P); +g.", env)
-    assert result is CycleResult.GOAL_ACHIEVED
+    assert result == GOAL_ACHIEVED
     assert env.calls == ["act"]
 
 
 def test_test_goal_without_solution_fails_plan():
     result, state, env = run("!g.\n+!g : true <- ?port(P); act(P).")
-    assert result is CycleResult.EXHAUSTED
+    assert result == EXHAUSTED
     assert env.calls == []
 
 
 def test_add_and_remove_belief_steps():
     result, state, env = run("!g.\n+!g : true <- +g; -missing.")
-    assert result is CycleResult.GOAL_ACHIEVED
+    assert result == GOAL_ACHIEVED
     assert lit("g") in state.beliefs
 
 
@@ -244,7 +246,7 @@ def test_failed_action_still_folds_percepts():
     env = ScriptedEnv(outcomes={"act_a": False},
                       percepts={"act_a": [lit("evidence")]})
     result, state, env = run("!g.\n+!g : true <- act_a.", env)
-    assert result is CycleResult.EXHAUSTED
+    assert result == EXHAUSTED
     assert lit("evidence") in state.beliefs
 
 
@@ -253,7 +255,7 @@ def test_belief_addition_triggers_matching_plan():
         "!g.\n"
         "+!g : true <- +foo.\n"
         "+foo : true <- act_b; +g.\n")
-    assert result is CycleResult.GOAL_ACHIEVED
+    assert result == GOAL_ACHIEVED
     assert env.calls == ["act_b"]
 
 
@@ -266,7 +268,7 @@ def test_alternatives_tried_in_order_after_failures():
         "@a\n+!g : true <- act_a; +g.\n"
         "@b\n+!g : true <- act_b; +g.\n"
         "@c\n+!g : true <- act_c; +g.\n", env)
-    assert result is CycleResult.GOAL_ACHIEVED
+    assert result == GOAL_ACHIEVED
     assert env.calls == ["act_a", "act_b", "act_c"]
 
 
@@ -274,7 +276,7 @@ def test_exhausted_alternatives_record_failed_goal():
     env = ScriptedEnv(outcomes={"act_a": False, "act_b": False})
     result, state, env = run(
         "!g.\n@a\n+!g : true <- act_a.\n@b\n+!g : true <- act_b.\n", env)
-    assert result is CycleResult.EXHAUSTED
+    assert result == EXHAUSTED
     assert lit("attack_failed", Atom("g")) in state.beliefs
     assert env.calls == ["act_a", "act_b"]
 
@@ -285,7 +287,7 @@ def test_subgoal_failure_propagates_to_parent():
         "!g.\n"
         "@mission\n+!g : true <- !sub; +g.\n"
         "@s\n+!sub : true <- act_a.\n", env)
-    assert result is CycleResult.EXHAUSTED
+    assert result == EXHAUSTED
     assert lit("attack_failed", Atom("sub")) in state.beliefs
     assert lit("attack_failed", Atom("g")) in state.beliefs
 
@@ -297,7 +299,7 @@ def test_parent_recovers_when_sibling_subgoal_plan_succeeds():
         "@mission\n+!g : true <- !sub; +g.\n"
         "@s1\n+!sub : true <- act_a.\n"
         "@s2\n+!sub : true <- act_b.\n", env)
-    assert result is CycleResult.GOAL_ACHIEVED
+    assert result == GOAL_ACHIEVED
     assert env.calls == ["act_a", "act_b"]
 
 
@@ -305,13 +307,13 @@ def test_parent_recovers_when_sibling_subgoal_plan_succeeds():
 
 def test_no_plans_at_all_is_exhausted():
     result, state, env = run("!g.")
-    assert result is CycleResult.EXHAUSTED
+    assert result == EXHAUSTED
     assert state.cycle_count <= 2
 
 
 def test_vacuous_goal_achieved_on_first_cycle_without_acting():
     result, state, env = run("g.\n!g.\n+!g : true <- act_a.")
-    assert result is CycleResult.GOAL_ACHIEVED
+    assert result == GOAL_ACHIEVED
     assert state.cycle_count == 1
     assert env.calls == []
 
@@ -319,7 +321,7 @@ def test_vacuous_goal_achieved_on_first_cycle_without_acting():
 def test_running_intention_finishes_after_goal_becomes_true():
     # The goal check waits for quiescence, so the step after +g still runs.
     result, state, env = run("!g.\n+!g : true <- +g; act_b.")
-    assert result is CycleResult.GOAL_ACHIEVED
+    assert result == GOAL_ACHIEVED
     assert env.calls == ["act_b"]
 
 
@@ -356,11 +358,11 @@ def test_no_plan_selected_twice_per_goal_event(succeeds):
     # Each plan body runs at most once for the goal event.
     assert len(env.calls) == len(set(env.calls))
     if any(succeeds):
-        assert result is CycleResult.GOAL_ACHIEVED
+        assert result == GOAL_ACHIEVED
         first_winner = succeeds.index(True)
         assert env.calls == [f"act_{i}" for i in range(first_winner + 1)]
     else:
-        assert result is CycleResult.EXHAUSTED
+        assert result == EXHAUSTED
         assert len(env.calls) == len(succeeds)
 
 

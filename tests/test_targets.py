@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from bdi_pentest.actions import ACTIONS, PROBE
 from bdi_pentest.targets import (
+    FACETS,
     ConfigError,
     Credential,
     RunRng,
@@ -14,7 +16,6 @@ from bdi_pentest.targets import (
     Vulnerability,
     handle_probe,
     load_scenario,
-    serialize_scenario,
 )
 from bdi_pentest.terms import literal_to_str
 
@@ -98,6 +99,18 @@ def test_threshold_overrides():
      "staff[0].susceptibility"),
     ("- not a mapping", "<root>"),
     ("targets: [\n", "<root>"),
+    # Unknown keys, at every level, instead of a silent default.
+    ("max_cycle: 3\ntargets:\n  - {name: t, os: linux}", "<root>.max_cycle"),
+    ("agent_program: a.asl\ntargets:\n  - {name: t, os: linux}", "<root>.agent_program"),
+    ("targets:\n  - {name: t, os: linux, port: [22]}", "targets[0].port"),
+    ("targets:\n  - name: t\n    os: linux\n    ports: [22]\n"
+     "    services: [{port: 22, name: ssh, version: 7}]", "targets[0].services[0].version"),
+    ("targets:\n  - name: t\n    os: linux\n    vulnerabilities: [{id: v, kind: local, cvss: 9}]",
+     "targets[0].vulnerabilities[0].cvss"),
+    ("targets:\n  - name: t\n    os: linux\n"
+     "    credentials: [{service: ssh, secret: x, user: u}]", "targets[0].credentials[0].user"),
+    ("targets:\n  - name: t\n    os: linux\n    staff: [{email: a@b, role: it}]",
+     "targets[0].staff[0].role"),
 ])
 def test_config_errors_carry_field_path(text, path_fragment):
     with pytest.raises(ConfigError) as e:
@@ -105,21 +118,43 @@ def test_config_errors_carry_field_path(text, path_fragment):
     assert path_fragment in e.value.path
 
 
-def test_serialize_round_trip(single_target_scenario):
-    assert load_scenario(serialize_scenario(single_target_scenario)) == single_target_scenario
-    rich = Scenario(
+RICH_YAML = """
+name: rich
+seed: 7
+max_cycles: 50
+thresholds: {password: 0.9, sniffer: 0}
+priorities: {mission: 5, bof_attack: -1}
+targets:
+  - name: a
+    os: linux
+    ports: [80, 22]
+    services:
+      - {port: 80, name: apache}
+      - {port: 22, name: ssh}
+    vulnerabilities:
+      - {id: v1, kind: sqli}
+    credentials:
+      - {service: ssh, secret: 1234}
+    subnet: dmz
+    staff:
+      - {email: a@b.org, susceptibility: 0.2}
+      - {email: c@b.org}
+  - {name: b, os: windows}
+"""
+
+
+def test_rich_scenario_loads_to_literal():
+    assert load_scenario(RICH_YAML) == Scenario(
         "rich",
-        (TargetSpec("a", "linux", (80,), (Service(80, "apache"),),
-                    (Vulnerability("v1", "sqli"),), (Credential("ssh", "x"),),
-                    "dmz", (Staff("a@b.org", 0.2),)),
+        (TargetSpec("a", "linux", (80, 22), (Service(80, "apache"), Service(22, "ssh")),
+                    (Vulnerability("v1", "sqli"),), (Credential("ssh", "1234"),),
+                    "dmz", (Staff("a@b.org", 0.2), Staff("c@b.org", 0.15))),
          TargetSpec("b", "windows")),
-        Thresholds(password=0.9),
-        agent_program="agent.asl",
-        priorities={"mission": 5},
+        Thresholds(password=0.9, sniffer=0.0),
+        priorities={"mission": 5, "bof_attack": -1},
         seed=7,
         max_cycles=50,
     )
-    assert load_scenario(serialize_scenario(rich)) == rich
 
 
 def test_subnet_peers(single_target_scenario):
@@ -149,9 +184,9 @@ class TestHandleProbe:
         assert self.probe("vulnerability") == ["vulnerability(cve_remote)[source(target)]"]
         assert self.probe("email") == ['email("ops@example.org")[source(target)]']
 
-    def test_unknown_facet(self):
-        with pytest.raises(ValueError):
-            handle_probe(self.SPEC, "mood")
+    def test_every_probe_action_reads_a_facet(self):
+        probes = {row.facet for row in ACTIONS.values() if row.kind == PROBE}
+        assert probes == set(FACETS)
 
     def test_probe_is_pure(self):
         assert handle_probe(self.SPEC, "port") == handle_probe(self.SPEC, "port")
