@@ -2,9 +2,7 @@ import pytest
 
 from bdi_pentest.actions import (
     ActionError,
-    AttackOutcome,
     Privilege,
-    privilege_transition,
     resolve_attack,
 )
 from bdi_pentest.runner import RunContext
@@ -52,24 +50,30 @@ class TestPrivilege:
 
     def test_str_and_parse(self):
         assert str(Privilege.ROOT) == "root"
-        assert Privilege.parse("root") is Privilege.ROOT
+        assert all(Privilege[str(p).upper()] is p for p in Privilege)
 
     def test_transition_is_monotone_max(self):
-        won = AttackOutcome("password_attack", True, Privilege.USER, 0.9)
-        assert privilege_transition(Privilege.NONE, won) is Privilege.USER
-        assert privilege_transition(Privilege.ROOT, won) is Privilege.ROOT
-        lost = AttackOutcome("password_attack", False, None, 0.1)
-        assert privilege_transition(Privilege.USER, lost) is Privilege.USER
+        env = RunContext(Scenario("s", (LAN_HOST,)), fixed(0.9, 0.9, 0.9, 0.1))
+        password = (Atom("target"), Atom("ssh"))
+        bof = (Atom("target"), Atom("cve_remote"), Atom("remote"))
+        levels = []
+        for action, args in (("password_attack", password), ("bof_attack", bof),
+                             ("password_attack", password), ("password_attack", password)):
+            env.execute(action, args)
+            levels.append(env.privilege["target"])
+        # A won password attack after root, and a lost one, keep root.
+        assert [s.outcome for s in env.steps] == ["success"] * 3 + ["failure"]
+        assert levels == [Privilege.USER, Privilege.ROOT, Privilege.ROOT, Privilege.ROOT]
 
 
 class TestPasswordAttack:
     def test_threshold_boundary_draw_succeeds(self):
         out = attack("password_attack", "ssh", draw=fixed(TH.password))
-        assert out.success and out.privilege_granted is Privilege.USER
+        assert out.success
 
     def test_below_threshold_fails_with_evidence(self):
         out = attack("password_attack", "ssh", draw=fixed(0.13183533644420975))
-        assert not out.success and out.privilege_granted is None
+        assert not out.success
         assert [literal_to_str(l) for l in out.evidence] == ["password_attack_failed"]
 
     def test_success_reveals_credential(self):
@@ -94,7 +98,7 @@ class TestPasswordAttack:
 class TestBufferOverflow:
     def test_remote_at_threshold_succeeds(self):
         out = attack("bof_attack", "cve_remote", "remote", draw=fixed(TH.bof_remote))
-        assert out.success and out.privilege_granted is Privilege.ROOT
+        assert out.success
         assert [literal_to_str(l) for l in out.evidence] == ['attacked("cve_remote")']
 
     def test_remote_below_threshold_fails(self):
@@ -128,8 +132,9 @@ class TestSqlInjection:
                      (Vulnerability("cve_sqli", "sqli"),))
 
     def test_success_grants_web_privilege(self):
-        out = attack("sqli_attack", spec=self.WEB, draw=fixed(TH.sqli))
-        assert out.success and out.privilege_granted is Privilege.WEB
+        env = RunContext(Scenario("s", (self.WEB,)), fixed(TH.sqli))
+        success, _ = env.execute("sqli_attack", (Atom("web"),))
+        assert success and env.privilege["web"] is Privilege.WEB
 
     def test_no_web_service_is_precondition_error(self):
         spec = TargetSpec("t", "linux", (22,), (Service(22, "ssh"),))
@@ -148,7 +153,7 @@ class TestSniffer:
 
     def test_success_yields_host_credentials(self):
         out = attack("sniffer_attack", "peer", others=(self.PEER,), draw=fixed(TH.sniffer))
-        assert out.success and out.privilege_granted is Privilege.USER
+        assert out.success
         assert [literal_to_str(l) for l in out.evidence] == ['credential(ssh, "456")']
 
     def test_no_peer_raises(self):
@@ -221,7 +226,8 @@ class TestDispatch:
     def test_resolve_routes_each_attack(self):
         out = resolve_attack(self.SCENARIO, LAN_HOST, "password_attack", ("ssh",),
                              Privilege.NONE, fixed(0.9))
-        assert out.action == "password_attack" and out.success
+        assert out.success
+        assert [literal_to_str(l) for l in out.evidence] == ['credential(ssh, "456")']
 
     def test_resolve_sniffer_needs_a_peer(self):
         with pytest.raises(ActionError, match="no subnet peers"):

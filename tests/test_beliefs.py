@@ -2,10 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bdi_pentest.beliefs import (
-    ADD,
-    DEL,
     BeliefBase,
-    BeliefEvent,
     NonGroundBelief,
     make_percept,
     percept_source,
@@ -23,21 +20,21 @@ def lit(functor, *args):
 
 def test_add_new_literal_emits_add_event():
     bb = BeliefBase()
-    assert bb.add(lit("port", Number(80))) == [BeliefEvent(ADD, lit("port", Number(80)))]
+    assert bb.add(lit("port", Number(80))) == lit("port", Number(80))
     assert lit("port", Number(80)) in bb
-    assert len(bb) == 1
+    assert list(bb) == [lit("port", Number(80))]
 
 
 def test_re_add_is_silent():
     bb = BeliefBase([lit("port", Number(80))])
-    assert bb.add(lit("port", Number(80))) == []
-    assert len(bb) == 1
+    assert bb.add(lit("port", Number(80))) is None
+    assert list(bb) == [lit("port", Number(80))]
 
 
 def test_re_add_merges_annotations():
     bb = BeliefBase()
     bb.add(make_percept(lit("ostype", Atom("linux")), "target"))
-    assert bb.add(make_percept(lit("ostype", Atom("linux")), "self")) == []
+    assert bb.add(make_percept(lit("ostype", Atom("linux")), "self")) is None
     stored = next(iter(bb))
     assert stored.annotations == frozenset({
         comp("source", Atom("target")), comp("source", Atom("self"))})
@@ -45,16 +42,16 @@ def test_re_add_merges_annotations():
 
 def test_remove_present_and_absent():
     bb = BeliefBase([lit("port", Number(80))])
-    assert bb.remove(lit("port", Number(22))) == []
-    assert bb.remove(lit("port", Number(80))) == [BeliefEvent(DEL, lit("port", Number(80)))]
-    assert bb.remove(lit("port", Number(80))) == []
-    assert len(bb) == 0
+    assert bb.remove(lit("port", Number(22))) is None
+    assert bb.remove(lit("port", Number(80))) == lit("port", Number(80))
+    assert bb.remove(lit("port", Number(80))) is None
+    assert list(bb) == []
 
 
 def test_remove_ignores_annotations():
     bb = BeliefBase([make_percept(lit("port", Number(80)), "target")])
-    events = bb.remove(lit("port", Number(80)))
-    assert [e.op for e in events] == [DEL]
+    assert bb.remove(lit("port", Number(80))) == lit("port", Number(80))
+    assert list(bb) == []
 
 
 def test_non_ground_literal_rejected():
@@ -84,16 +81,6 @@ def test_query_threads_existing_substitution():
     answers = bb.query(pattern, {"X": Atom("a")})
     assert answers == [{"X": Atom("a"), "Y": Atom("b")}]
     assert bb.query(pattern, {"X": Atom("z")}) == []
-
-
-def test_update_from_percepts_is_set_union():
-    bb = BeliefBase([lit("port", Number(80))])
-    events = bb.update_from_percepts([
-        make_percept(lit("port", Number(80)), "target"),
-        make_percept(lit("port", Number(22)), "target"),
-    ])
-    assert [(e.op, e.literal) for e in events] == [(ADD, lit("port", Number(22)))]
-    assert len(bb) == 2
 
 
 def test_dump_lines_sorted_with_annotations():
@@ -135,16 +122,16 @@ def test_belief_base_matches_naive_set_oracle(ops):
     oracle: set[Literal] = set()
     for op, literal in ops:
         if op == "add":
-            events = bb.add(literal)
-            expected = [] if literal in oracle else [BeliefEvent(ADD, literal)]
+            changed = bb.add(literal)
+            expected = None if literal in oracle else literal
             oracle.add(literal)
         else:
-            events = bb.remove(literal)
-            expected = [BeliefEvent(DEL, literal)] if literal in oracle else []
+            changed = bb.remove(literal)
+            expected = literal if literal in oracle else None
             oracle.discard(literal)
-        assert events == expected
-        assert set(bb) == oracle
-        assert len(bb) == len(oracle)
+        assert changed == expected
+        stored = list(bb)
+        assert set(stored) == oracle and len(stored) == len(oracle)
     # Every stored literal answers a ground query; nothing else does.
     for literal in oracle:
         assert bb.query(literal) == [{}]
@@ -154,13 +141,11 @@ def test_belief_base_matches_naive_set_oracle(ops):
 @given(st.lists(_ground_literals, max_size=30))
 def test_event_count_equals_symmetric_difference(literals):
     bb = BeliefBase()
-    added = bb.update_from_percepts(literals)
+    added = [l for l in literals if bb.add(l) is not None]
     assert len(added) == len(set(literals))
-    removed = []
-    for l in set(literals):
-        removed.extend(bb.remove(l))
+    removed = [l for l in set(literals) if bb.remove(l) is not None]
     assert len(removed) == len(set(literals))
-    assert len(bb) == 0
+    assert list(bb) == []
 
 
 # --- property: a query answers what a scan of the stored literals answers ---

@@ -149,12 +149,14 @@ def _no_batch(*args, **kwargs):
     (["--repeat", "3", "--format", "human"], None, None, "--format"),
     (["--repeat", "3", "--draws", "0.99,0.99"], None, None, "--draws"),
     (["--repeat", "3", "--max-cycles", "5"], None, None, "--max-cycles"),
+    # --workers without --repeat would be ignored.
+    (["--workers", "2"], None, None, "--workers"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
         "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
         "workers-above-cpu-count", "report-unwritable", "trace-unwritable",
         "draws-not-a-number", "draws-out-of-range", "repeat-with-report",
         "repeat-with-trace", "repeat-with-format", "repeat-with-draws",
-        "repeat-with-max-cycles"])
+        "repeat-with-max-cycles", "workers-without-repeat"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bdi_pentest.actions import ACTIONS
 from bdi_pentest.beliefs import BeliefBase
 from bdi_pentest.parser import BELIEF, AgentProgram, Plan, TriggerEvent, TrueConst, parse_program
 from bdi_pentest.reasoner import (
@@ -47,9 +46,9 @@ class ScriptedEnv:
         self.trace.append(message)
 
 
-def run(source, env=None, priorities=None, cap=100):
+def run(source, env=None, cap=100):
     env = env or ScriptedEnv()
-    state = init_agent(parse_program(source), priorities)
+    state = init_agent(parse_program(source))
     result = RUNNING
     while state.cycle_count < cap and result == RUNNING:
         result = reasoning_cycle(state, env)
@@ -76,13 +75,6 @@ def test_init_queues_goal_events_and_annotates_beliefs():
     assert [e.trigger for e in state.events] == [TriggerEvent("+", ACHIEVE, lit("g"))]
     stored = next(iter(state.beliefs))
     assert Compound("source", (Atom("self"),)) in stored.annotations
-
-
-def test_init_merges_priority_overrides():
-    state = init_agent(parse_program("!g."), {"bof_attack": 99, "mission": 7})
-    assert state.priority_table["bof_attack"] == 99
-    assert state.priority_table["mission"] == 7
-    assert state.priority_table["password_attack"] == ACTIONS["password_attack"].priority
 
 
 def test_triggers_bucket_plans_by_signature_in_library_order():
@@ -132,14 +124,11 @@ def test_applicable_plans_one_desire_per_context_solution():
 
 def test_plan_priority_lookup_order():
     program = parse_program(
-        "@mission\n+!g : true <- bof_attack(t, v, remote).\n"
         "+!g : true <- bof_attack(t, v, remote).\n"
         "+!g : true <- +done.\n")
-    labelled, by_action, bare = program.plans
-    table = dict(init_agent(parse_program("!g.")).priority_table, mission=7)
-    assert plan_priority(labelled, table) == 7       # label wins
-    assert plan_priority(by_action, table) == 30     # first action name
-    assert plan_priority(bare, table) == 0           # default
+    by_action, bare = program.plans
+    assert plan_priority(by_action) == 30     # first action name
+    assert plan_priority(bare) == 0           # default
 
 
 def test_select_intention_priority_then_order_then_attempted():
@@ -148,14 +137,13 @@ def test_select_intention_priority_then_order_then_attempted():
         "@high\n+!g : true <- bof_attack(t, v, remote).\n"
         "@high2\n+!g : true <- bof_attack(t, v, remote).\n")
     desires = [(p, {}) for p in program.plans]
-    table = init_agent(parse_program("!g.")).priority_table
-    pick = select_intention(desires, table, set())
+    pick = select_intention(desires, set())
     assert pick[0].label == "high"
-    pick = select_intention(desires, table, {"high"})
+    pick = select_intention(desires, {"high"})
     assert pick[0].label == "high2"
-    pick = select_intention(desires, table, {"high", "high2"})
+    pick = select_intention(desires, {"high", "high2"})
     assert pick[0].label == "low"
-    assert select_intention(desires, table, {"low", "high", "high2"}) is None
+    assert select_intention(desires, {"low", "high", "high2"}) is None
 
 
 # --- context solving --------------------------------------------------------
@@ -216,10 +204,10 @@ def test_internal_print_renders_strings_raw():
 def test_achieve_goal_suspends_and_posts_event():
     env = ScriptedEnv()
     state = _single_intention_state("!g.\n+!g : true <- !sub; act_a.\n+!sub : true.", env)
-    intention = state.intentions[0]
-    assert intention.status == "suspended"
+    assert state.active is None
     assert state.events[-1].trigger == TriggerEvent("+", ACHIEVE, lit("sub"))
-    assert state.events[-1].parent is intention
+    # The waiting intention is the parent of its subgoal event.
+    assert [f.event.trigger.literal for f in state.events[-1].parent] == [lit("g")]
 
 
 def test_test_goal_binds_first_solution():
@@ -292,6 +280,22 @@ def test_subgoal_failure_propagates_to_parent():
     assert lit("attack_failed", Atom("g")) in state.beliefs
 
 
+@pytest.mark.parametrize("act_a_succeeds", [False, True])
+def test_failed_belief_event_leaves_no_waiting_intention(act_a_succeeds):
+    # Every plan for +foo fails or +foo succeeds: either way nothing waits on
+    # +foo afterwards, so the goal check ends the run before +bar runs.
+    env = ScriptedEnv(outcomes={"act_a": act_a_succeeds})
+    result, state, env = run(
+        "!g.\n"
+        "@m\n+!g : true <- +foo; !s; +g; +bar.\n"
+        "@s\n+!s : true.\n"
+        "@f\n+foo : true <- act_a.\n"
+        "@b\n+bar : true <- act_b.\n", env)
+    assert result == GOAL_ACHIEVED
+    assert env.calls == ["act_a"]
+    assert state.cycle_count == 8
+
+
 def test_parent_recovers_when_sibling_subgoal_plan_succeeds():
     env = ScriptedEnv(outcomes={"act_a": False})
     result, state, env = run(
@@ -338,10 +342,10 @@ def test_execute_step_pops_finished_frames():
     env = ScriptedEnv()
     state = init_agent(parse_program("!g.\n+!g : true <- act_a."))
     reasoning_cycle(state, env)
-    intention = state.intentions[0]
-    execute_step(state, env, intention)
-    assert intention.frames == []
-    assert intention.status == "done"
+    intention = state.active
+    execute_step(state, env)
+    assert intention == []
+    assert state.active is None
 
 
 # --- property: failure recovery terminates, no plan retried ----------------

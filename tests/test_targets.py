@@ -94,7 +94,8 @@ def test_threshold_overrides():
      "thresholds.teleport"),
     ("seed: -1\ntargets:\n  - {name: t, os: linux}", "seed"),
     ("max_cycles: 0\ntargets:\n  - {name: t, os: linux}", "max_cycles"),
-    ("priorities: {p: high}\ntargets:\n  - {name: t, os: linux}", "priorities.p"),
+    ("priorities: {p: high}\ntargets:\n  - {name: t, os: linux}", "<root>.priorities"),
+    ("priorities: {bof_atack: 99}\ntargets:\n  - {name: t, os: linux}", "<root>.priorities"),
     ("targets:\n  - name: t\n    os: linux\n    staff: [{email: a@b, susceptibility: 2}]",
      "staff[0].susceptibility"),
     ("- not a mapping", "<root>"),
@@ -123,7 +124,6 @@ name: rich
 seed: 7
 max_cycles: 50
 thresholds: {password: 0.9, sniffer: 0}
-priorities: {mission: 5, bof_attack: -1}
 targets:
   - name: a
     os: linux
@@ -151,7 +151,6 @@ def test_rich_scenario_loads_to_literal():
                     "dmz", (Staff("a@b.org", 0.2), Staff("c@b.org", 0.15))),
          TargetSpec("b", "windows")),
         Thresholds(password=0.9, sniffer=0.0),
-        priorities={"mission": 5, "bof_attack": -1},
         seed=7,
         max_cycles=50,
     )
