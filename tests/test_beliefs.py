@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -189,3 +194,39 @@ def test_query_matches_linear_scan(ops, pattern, s):
     for add, literal in ops:
         (bb.add if add else bb.remove)(literal)
     assert bb.query(pattern, s) == _scan_query(bb, pattern, s)
+
+
+# --- pickling across interpreters -------------------------------------------
+
+_BELIEFS = """
+from bdi_pentest.terms import Atom, Compound, Literal, StringLit
+BELIEFS = [Literal(Compound("service", (Atom("ssh"),))),
+           Literal(Compound("credential", (Atom("ssh"), StringLit("pw"))),
+                   frozenset({Compound("source", (Atom("t0"),))})),
+           Literal(Atom("done"))]
+"""
+_DUMP = _BELIEFS + """
+import pickle, sys
+from bdi_pentest.beliefs import BeliefBase
+bb = BeliefBase(BELIEFS)
+assert all(l in bb for l in BELIEFS)  # every term hashed before pickling
+sys.stdout.buffer.write(pickle.dumps(bb))
+"""
+_LOOKUP = _BELIEFS + """
+import pickle, sys
+bb = pickle.loads(sys.stdin.buffer.read())
+print(all(l in bb for l in BELIEFS), [bb.add(l) for l in BELIEFS])
+"""
+
+
+def test_pickled_belief_base_answers_lookups_under_another_hash_seed():
+    # A pool without fork pickles the program and its belief base into
+    # workers whose string hashes are salted differently.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1")
+    data = subprocess.run([sys.executable, "-c", _DUMP], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    env["PYTHONHASHSEED"] = "2"
+    out = subprocess.run([sys.executable, "-c", _LOOKUP], env=env, input=data,
+                         capture_output=True, check=True, timeout=60).stdout
+    assert out.decode() == "True [None, None, None]\n"

@@ -149,6 +149,10 @@ def _no_batch(*args, **kwargs):
     (["--repeat", "3", "--format", "human"], None, None, "--format"),
     (["--repeat", "3", "--draws", "0.99,0.99"], None, None, "--draws"),
     (["--repeat", "3", "--max-cycles", "5"], None, None, "--max-cycles"),
+    # Every seed of the batch must lie in the seed range, whether the base
+    # seed comes from the flag or from the YAML.
+    (["--repeat", "3", "--seed", str(2 ** 64 - 1)], None, None, "--repeat"),
+    (["--repeat", "2"], f"seed: {2 ** 64 - 1}\n" + ONE_TARGET, None, "--repeat"),
     # --workers without --repeat would be ignored.
     (["--workers", "2"], None, None, "--workers"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
@@ -156,7 +160,8 @@ def _no_batch(*args, **kwargs):
         "workers-above-cpu-count", "report-unwritable", "trace-unwritable",
         "draws-not-a-number", "draws-out-of-range", "repeat-with-report",
         "repeat-with-trace", "repeat-with-format", "repeat-with-draws",
-        "repeat-with-max-cycles", "workers-without-repeat"])
+        "repeat-with-max-cycles", "repeat-past-seed-range", "repeat-past-yaml-seed-range",
+        "workers-without-repeat"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,7 +26,11 @@ from bdi_pentest.reasoner import (
     select_intention,
     solve,
 )
+from bdi_pentest.runner import run_batch
+from bdi_pentest.targets import load_scenario
 from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable, unify
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def lit(functor, *args):
@@ -71,7 +79,7 @@ def test_init_requires_ground_goal():
 
 def test_init_queues_goal_events_and_annotates_beliefs():
     state = init_agent(parse_program("port(80).\n!g.\n"))
-    assert state.goal == lit("g")
+    assert state.tables.goal == lit("g")
     assert [e.trigger for e in state.events] == [TriggerEvent("+", ACHIEVE, lit("g"))]
     stored = next(iter(state.beliefs))
     assert Compound("source", (Atom("self"),)) in stored.annotations
@@ -83,8 +91,8 @@ def test_triggers_bucket_plans_by_signature_in_library_order():
         "@c\n+foo(y) : true.\n@d\n-foo(y) : true.\n@e\n+foo : true.\n"
         "@f\n+!foo(Y) : true.\n@g\n+!bar(s(a), Z) : true.\n@h\n+!bar(s(Z), a) : true.\n"))
     # Each plan sits beside its trigger's first argument when that is ground.
-    assert {key: [(p.label, first) for p, first in plans]
-            for key, plans in state.triggers.items()} == {
+    assert {key: [(p.label, first) for p, first, _ in plans]
+            for key, plans in state.tables.triggers.items()} == {
         ("+", "belief", "foo", 1): [("a", None), ("c", Atom("y"))],
         ("+", "achieve", "foo", 1): [("b", Atom("x")), ("f", None)],
         ("-", "belief", "foo", 1): [("d", Atom("y"))],
@@ -110,16 +118,16 @@ def test_relevant_plans_match_op_kind_and_unify():
         "@p2\n+!get(port) : true <- act(port).\n"
         "@p3\n-get(port) : true.\n"
         "@p4\n+get(port) : true.\n"))
-    out = relevant_plans(state.triggers, TriggerEvent("+", ACHIEVE, lit("get", Atom("port"))))
-    assert [(p.label, u) for p, u in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
+    out = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("get", Atom("port"))))
+    assert [(p.label, u) for p, u, _ in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
 
 
 def test_applicable_plans_one_desire_per_context_solution():
     state = init_agent(parse_program("!g.\n@p\n+!g : port(P) <- act(P).\n"))
     beliefs = BeliefBase([lit("port", Number(80)), lit("port", Number(22))])
-    relevant = relevant_plans(state.triggers, TriggerEvent("+", ACHIEVE, lit("g")))
+    relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("g")))
     desires = applicable_plans(relevant, beliefs)
-    assert [u["P"] for _, u in desires] == [Number(80), Number(22)]
+    assert [u["P"] for _, u, _ in desires] == [Number(80), Number(22)]
 
 
 def test_plan_priority_lookup_order():
@@ -136,7 +144,7 @@ def test_select_intention_priority_then_order_then_attempted():
         "@low\n+!g : true <- social_attack(t).\n"
         "@high\n+!g : true <- bof_attack(t, v, remote).\n"
         "@high2\n+!g : true <- bof_attack(t, v, remote).\n")
-    desires = [(p, {}) for p in program.plans]
+    desires = [(p, {}, plan_priority(p)) for p in program.plans]
     pick = select_intention(desires, set())
     assert pick[0].label == "high"
     pick = select_intention(desires, {"high"})
@@ -374,14 +382,24 @@ def test_no_plan_selected_twice_per_goal_event(succeeds):
 
 def _scan_relevant(library, event):
     """The linear scan the trigger table replaces: every plan of the library
-    whose op and kind match and whose trigger unifies with the event."""
+    whose op and kind match and whose trigger unifies with the event, with
+    its priority."""
     out = []
     for plan in library:
         if (plan.trigger.op, plan.trigger.kind) == (event.op, event.kind):
             u = unify(plan.trigger.literal.term, event.literal.term)
             if u is not None:
-                out.append((plan, u))
+                out.append((plan, u, plan_priority(plan)))
     return out
+
+
+def _float_twin(t):
+    """t with every number as a float: equal to t, but printed differently."""
+    if isinstance(t, Number):
+        return Number(float(t.value))
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_float_twin(a) for a in t.args))
+    return t
 
 
 # Arguments that meet every equality edge of the first-argument filter:
@@ -408,7 +426,52 @@ def _achieve(*args):
           _achieve(Compound("f", (Atom("b"),)))], _achieve(Compound("f", (Atom("a"),))))
 @example([_achieve(Atom("a")), _achieve(Variable("X"))], _achieve(Compound("f", (Variable("X"),))))
 @example([_achieve(), _achieve(Atom("a"))], _achieve())
+@example([_achieve(Variable("X"))], _achieve(Number(1)))
 def test_trigger_table_matches_library_scan(triggers, event):
     library = tuple(Plan(t, TrueConst(), (), key=f"plan_{i}") for i, t in enumerate(triggers))
     state = init_agent(AgentProgram(goals=(lit("g"),), plans=library))
-    assert relevant_plans(state.triggers, event) == _scan_relevant(library, event)
+    events = [event,
+              TriggerEvent(event.op, event.kind, event.literal.with_annotations({Atom("a")})),
+              TriggerEvent(event.op, event.kind, Literal(_float_twin(event.literal.term)))]
+    # Twice over: the first call of each may fill the memo, the second reads
+    # it. Compared as repr, since Number(1) == Number(1.0) though they print
+    # differently.
+    for e in events + events:
+        assert repr(relevant_plans(state.tables, e)) == repr(_scan_relevant(library, e))
+
+
+# --- per-program tables -----------------------------------------------------
+
+def test_runs_of_one_program_share_its_tables_but_not_its_beliefs():
+    program = parse_program("port(80).\n!g.\n@p\n+!g : port(P) <- act(P).\n")
+    a, b = init_agent(program), init_agent(program)
+    assert a.tables is b.tables and a.tables.triggers is b.tables.triggers
+    a.beliefs.add(lit("g"))
+    a.beliefs.remove(lit("port", Number(80)))
+    assert goal_achieved(a) and not goal_achieved(b)
+    assert lit("port", Number(80)) in b.beliefs
+    assert lit("port", Number(80)) in init_agent(program).beliefs
+
+
+def test_program_and_its_tables_are_collected_after_del():
+    program = parse_program("!g.\n+!g : true <- act; +g.\n")
+    state = init_agent(program)
+    while reasoning_cycle(state, ScriptedEnv()) == RUNNING:
+        pass
+    refs = [weakref.ref(program), weakref.ref(state.tables)]
+    del program, state
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_memoized_relevant_sets_match_fresh_ones_after_a_seed_sweep():
+    # A substitution mutated in place by some run would leave its memo entry
+    # unequal to the same entry computed afresh on a newly parsed program.
+    source = (SCENARIOS / "campaign_agent.asl").read_text()
+    program = parse_program(source)
+    run_batch(load_scenario((SCENARIOS / "campaign.yaml").read_text()), program, range(200))
+    memo = init_agent(program).tables.relevant
+    fresh = init_agent(parse_program(source)).tables
+    assert memo
+    for (op, kind, term), relevant in memo.items():
+        assert repr(relevant) == repr(relevant_plans(fresh, TriggerEvent(op, kind, Literal(term))))

@@ -1,3 +1,6 @@
+from pathlib import Path
+
+from bdi_pentest import load_scenario, parse_program
 from bdi_pentest.runner import (
     CYCLE_CAP,
     EXHAUSTED,
@@ -9,6 +12,7 @@ from bdi_pentest.runner import (
 )
 
 FAILED_DRAW = 0.13183533644420975
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_single_target_run_reaches_root(single_target_scenario, single_target_program):
@@ -85,10 +89,16 @@ def test_machine_report_round_trips(single_target_scenario, single_target_progra
     assert parse_report(emit_report(report, "machine")) == report
 
 
-def test_run_batch_matches_individual_runs(single_target_scenario, single_target_program):
-    seeds = range(20)
-    batch = run_batch(single_target_scenario, single_target_program, seeds)
-    singles = [run_scenario(single_target_scenario, single_target_program, seed=s)[0].result
-               for s in seeds]
-    assert batch == singles
-    assert set(batch) <= {GOAL_ACHIEVED, EXHAUSTED}
+def test_run_batch_matches_individual_runs():
+    # run_batch builds no report; its results must still be the reports'.
+    for scenario_file, agent_file, seeds, results in [
+            ("single_target.yaml", "single_target_agent.asl", range(500),
+             {GOAL_ACHIEVED, EXHAUSTED}),
+            ("hardened.yaml", "single_target_agent.asl", range(50), {EXHAUSTED}),
+            ("campaign.yaml", "campaign_agent.asl", range(200), {GOAL_ACHIEVED})]:
+        scenario = load_scenario((SCENARIOS / scenario_file).read_text())
+        program = parse_program((SCENARIOS / agent_file).read_text())
+        singles = [run_scenario(scenario, program, seed=s)[0].result for s in seeds]
+        assert set(singles) == results
+        for workers in (1, 2):
+            assert run_batch(scenario, program, seeds, workers=workers) == singles
