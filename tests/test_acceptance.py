@@ -2,7 +2,7 @@
 
 Each test checks one headline behavior at its stated tolerance and prints a
 single pass line (visible with `pytest -s` or in captured output). The two
-100,000-sample checks take about two minutes combined on one CPU.
+100,000-sample checks take about 70 seconds combined on one CPU.
 """
 
 import time
