@@ -98,6 +98,14 @@ def test_trigger_forms_are_bijective():
     ("!g.\n+!g : a(X) | b <- probe_os(X).", 2, 1, "variable X is not bound"),
     ("+!g : X != a <- probe_os(X).", 1, 1, "variable X is not bound"),
     ("+!g : true <- .print(X); probe_os(X).", 1, 1, "variable X is not bound"),
+    # Lexical errors, reported where the wrong text starts: `1e` is the number
+    # 1 and the name e; numbers are ASCII digits; a string that never closes
+    # is reported at its opening quote. Columns count `\r` as a character.
+    ("p(1e).", 1, 4, "expected ')'"),
+    ("p(²).", 1, 3, "unexpected character '²'"),
+    ("p(٣).", 1, 3, "unexpected character '٣'"),
+    ('p("ab', 1, 3, "unterminated string literal"),
+    ("port(80).\r\nport(81) x.\r\n", 2, 10, "expected '.' after belief"),
 ])
 def test_forms_the_engine_cannot_run_are_rejected(src, line, col, message):
     with pytest.raises(PlanSyntaxError, match=re.escape(message)) as e:
@@ -181,6 +189,22 @@ def test_unknown_internal_action_rejected():
         parse_program("+!g : true <- .send(x).")
 
 
+# Pieces of every token class, and characters that start none.
+_FRAGMENTS = ["p", "X", "_", "café", "true", "not", "1", "1.5", "1e5", "2E-3", "1e",
+              "10.0.0.1", '"a\\"b"', '"\\q', ".print", ".Print", ".", "(", ")", ",",
+              "<-", ":", ";", "!", "+", "\\=", "//c\n", " ", "\n", "\r", "\t", "\f",
+              "²", "½", "٣", "~", "/"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_FRAGMENTS)).map("".join)))
+def test_any_text_parses_or_raises_plan_syntax_error(text):
+    try:
+        parse_program(text)
+    except PlanSyntaxError:
+        pass
+
+
 def test_comments_stripped():
     program = parse_program("// leading comment\nport(80). // trailing\n")
     assert len(program.beliefs) == 1
@@ -247,7 +271,7 @@ def program_to_str(p):
                      + [_plan_str(plan) for plan in p.plans]) + "\n"
 
 
-_atom_names = st.text(alphabet="abcdefgh", min_size=1, max_size=5)
+_atom_names = st.text(alphabet="abcdefghé", min_size=1, max_size=5)
 _var_names = st.sampled_from(["X", "Y", "Z"])
 
 
@@ -256,7 +280,10 @@ def _ground_terms():
         _atom_names.map(Atom),
         st.integers(-99, 99).map(Number),
         st.floats(0, 1, allow_nan=False).map(Number),
-        st.text(alphabet="abc \n\"\\", max_size=6).map(StringLit),
+        # Finite floats, some printed with an exponent
+        st.sampled_from([1e-07, 1.5e+300]).map(Number),
+        st.floats(allow_nan=False, allow_infinity=False).map(Number),
+        st.text(alphabet="abc \t\n\"\\é٣", max_size=6).map(StringLit),
     )
     return st.recursive(
         leaves,

@@ -88,16 +88,17 @@ def test_init_queues_goal_events_and_annotates_beliefs():
 def test_triggers_bucket_plans_by_signature_in_library_order():
     state = init_agent(parse_program(
         "!g.\n@a\n+foo(X) : true <- act(X).\n@b\n+!foo(x) : true.\n"
-        "@c\n+foo(y) : true.\n@d\n-foo(y) : true.\n@e\n+foo : true.\n"
+        "@c\n+foo(y) : true <- probe_os(y).\n@d\n-foo(y) : true.\n@e\n+foo : true.\n"
         "@f\n+!foo(Y) : true.\n@g\n+!bar(s(a), Z) : true.\n@h\n+!bar(s(Z), a) : true.\n"))
-    # Each plan sits beside its trigger's first argument when that is ground.
-    assert {key: [(p.label, first) for p, first, _ in plans]
+    # Each plan sits beside its priority: that of `probe_os` for @c, 0 for
+    # a plan with no catalog action.
+    assert {key: [(p.label, priority) for p, priority in plans]
             for key, plans in state.tables.triggers.items()} == {
-        ("+", "belief", "foo", 1): [("a", None), ("c", Atom("y"))],
-        ("+", "achieve", "foo", 1): [("b", Atom("x")), ("f", None)],
-        ("-", "belief", "foo", 1): [("d", Atom("y"))],
-        ("+", "belief", "foo", 0): [("e", None)],
-        ("+", "achieve", "bar", 2): [("g", Compound("s", (Atom("a"),))), ("h", None)],
+        ("+", "belief", "foo", 1): [("a", 0), ("c", 100)],
+        ("+", "achieve", "foo", 1): [("b", 0), ("f", 0)],
+        ("-", "belief", "foo", 1): [("d", 0)],
+        ("+", "belief", "foo", 0): [("e", 0)],
+        ("+", "achieve", "bar", 2): [("g", 0), ("h", 0)],
     }
 
 
@@ -402,9 +403,10 @@ def _float_twin(t):
     return t
 
 
-# Arguments that meet every equality edge of the first-argument filter:
-# Number(1) equals Number(1.0), StringLit("a") is not Atom("a"), and f(a) is a
-# ground compound where f(X) is not. An empty list makes an arity-0 trigger.
+# Arguments that meet every equality edge of the trigger table and of the
+# memo of relevant sets: Number(1) equals Number(1.0), StringLit("a") is not
+# Atom("a"), and f(a) is a ground compound where f(X) is not. An empty list
+# makes an arity-0 trigger.
 _args = st.lists(st.sampled_from([
     Atom("a"), Atom("b"), Variable("X"), Variable("Y"), Number(0), Number(1), Number(1.0),
     StringLit("a"), Compound("f", (Atom("a"),)), Compound("f", (Variable("X"),)),
@@ -460,6 +462,15 @@ def test_program_and_its_tables_are_collected_after_del():
         pass
     refs = [weakref.ref(program), weakref.ref(state.tables)]
     del program, state
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_run_batch_holds_no_program_after_it_returns():
+    program = parse_program((SCENARIOS / "single_target_agent.asl").read_text())
+    run_batch(load_scenario((SCENARIOS / "single_target.yaml").read_text()), program, range(3))
+    refs = [weakref.ref(program), weakref.ref(init_agent(program).tables)]
+    del program
     gc.collect()
     assert [r() for r in refs] == [None, None]
 
