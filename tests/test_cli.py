@@ -155,13 +155,17 @@ def _no_batch(*args, **kwargs):
     (["--repeat", "2"], f"seed: {2 ** 64 - 1}\n" + ONE_TARGET, None, "--repeat"),
     # --workers without --repeat would be ignored.
     (["--workers", "2"], None, None, "--workers"),
+    # Nesting past the parser's cap is refused where it passes the cap.
+    ([], None, "!g.\n+!g : " + "not " * 3000 + "a <- act.\n", "nested more than"),
+    ([], None, "!g.\n" + "p(" * 2000 + "a" + ")" * 2000 + ".\n", "nested more than"),
+    ([], None, "!g.\n+!g : " + "a & " * 3000 + "a <- act.\n", "nested more than"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
         "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
         "workers-above-cpu-count", "report-unwritable", "trace-unwritable",
         "draws-not-a-number", "draws-out-of-range", "repeat-with-report",
         "repeat-with-trace", "repeat-with-format", "repeat-with-draws",
         "repeat-with-max-cycles", "repeat-past-seed-range", "repeat-past-yaml-seed-range",
-        "workers-without-repeat"])
+        "workers-without-repeat", "nested-not", "nested-term", "long-conjunction"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.

@@ -1,12 +1,15 @@
 """Golden outputs: traces and reports over seed sweeps stay byte-identical.
 
 Each case hashes, seed by seed, the trace lines and the machine and human
-reports of one shipped scenario run with its agent. A digest changes only
-when some run's output changes; on a mismatch the assertion message shows
-the new digest, to be pasted here once the change in output is intended.
+reports of one shipped scenario run with its agent. A fourth digest is of
+everything `scripts/run_simulations.py` prints. A digest changes only when
+some run's output changes; on a mismatch the assertion message shows the
+new digest, to be pasted here once the change in output is intended.
 """
 
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ import pytest
 from bdi_pentest import load_scenario, parse_program
 from bdi_pentest.runner import emit_report, run_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 CASES = [
     ("single_target.yaml", "single_target_agent.asl", range(1000),
@@ -24,6 +28,8 @@ CASES = [
     ("campaign.yaml", "campaign_agent.asl", range(200),
      "46555d1055b6e14dc1c3c05cab9e86f2d843bbbe34e6fdbd07032889bb3ce687"),
 ]
+
+SIMULATIONS_DIGEST = "d4a2e93074c79c1ff969b0fef827143cebb5ec02ef4ed03be926e4cad634c172"
 
 
 def sweep_digest(scenario_file, agent_file, seeds) -> str:
@@ -43,3 +49,11 @@ def sweep_digest(scenario_file, agent_file, seeds) -> str:
 def test_outputs_match_golden_digest(scenario_file, agent_file, seeds, expected):
     digest = sweep_digest(scenario_file, agent_file, seeds)
     assert digest == expected, f"{scenario_file} seeds {seeds}: digest {digest}"
+
+
+def test_run_simulations_prints_golden_bytes():
+    script = ROOT / "scripts" / "run_simulations.py"
+    out = subprocess.run([sys.executable, str(script)], stdout=subprocess.PIPE,
+                         check=True).stdout
+    digest = hashlib.sha256(out).hexdigest()
+    assert digest == SIMULATIONS_DIGEST, f"{script.name} stdout: digest {digest}"

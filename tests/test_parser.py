@@ -106,6 +106,17 @@ def test_trigger_forms_are_bijective():
     ("p(٣).", 1, 3, "unexpected character '٣'"),
     ('p("ab', 1, 3, "unterminated string literal"),
     ("port(80).\r\nport(81) x.\r\n", 2, 10, "expected '.' after belief"),
+    # A literal that is not an atom or compound, reported at that term.
+    ("+!g : true <- +X.", 1, 16, "a literal must be an atom or compound term"),
+    ('+!g : true <- +"s".', 1, 16, "a literal must be an atom or compound term"),
+    # Nesting past the cap, reported at the token that opens one level too many.
+    ("+!g : " + "not " * 65 + "a.", 1, 7 + 64 * 4, "nested more than 64 levels deep"),
+    ("+!g : " + "(" * 65 + "a" + ")" * 65 + ".", 1, 7 + 64, "nested more than"),
+    ("+!g : " + "a & " * 65 + "a.", 1, 9 + 64 * 4, "nested more than"),
+    ("+!g : " + "a | " * 65 + "a.", 1, 9 + 64 * 4, "nested more than"),
+    ("p(" * 65 + "a" + ")" * 65 + ".", 1, 2 + 64 * 2, "nested more than"),
+    # Each `a = p(` opens two levels: the comparison and the argument list.
+    ("p(" + "a = p(" * 32 + "a" + ")" * 33 + ".", 1, 3 + 31 * 6 + 5, "nested more than"),
 ])
 def test_forms_the_engine_cannot_run_are_rejected(src, line, col, message):
     with pytest.raises(PlanSyntaxError, match=re.escape(message)) as e:

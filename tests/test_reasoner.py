@@ -1,4 +1,5 @@
 import gc
+import pickle
 import weakref
 from pathlib import Path
 
@@ -6,7 +7,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bdi_pentest.beliefs import BeliefBase
-from bdi_pentest.parser import BELIEF, AgentProgram, Plan, TriggerEvent, TrueConst, parse_program
+from bdi_pentest.parser import (
+    BELIEF,
+    AgentProgram,
+    And,
+    Comparison,
+    LiteralCond,
+    Not,
+    Or,
+    Plan,
+    TriggerEvent,
+    TrueConst,
+    _MAX_DEPTH,
+    parse_program,
+)
 from bdi_pentest.reasoner import (
     ACHIEVE,
     AgentState,
@@ -15,7 +29,7 @@ from bdi_pentest.reasoner import (
     RUNNING,
     Event,
     NoInitialGoal,
-    applicable_plans,
+    _compare,
     execute_step,
     goal_achieved,
     init_agent,
@@ -28,7 +42,16 @@ from bdi_pentest.reasoner import (
 )
 from bdi_pentest.runner import run_batch
 from bdi_pentest.targets import load_scenario
-from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable, unify
+from bdi_pentest.terms import (
+    Atom,
+    Compound,
+    Literal,
+    Number,
+    StringLit,
+    Variable,
+    substitute_literal,
+    unify,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -85,16 +108,17 @@ def test_init_queues_goal_events_and_annotates_beliefs():
     assert Compound("source", (Atom("self"),)) in stored.annotations
 
 
-def test_triggers_bucket_plans_by_signature_in_library_order():
+def test_triggers_bucket_plans_by_signature_in_selection_order():
     state = init_agent(parse_program(
         "!g.\n@a\n+foo(X) : true <- act(X).\n@b\n+!foo(x) : true.\n"
         "@c\n+foo(y) : true <- probe_os(y).\n@d\n-foo(y) : true.\n@e\n+foo : true.\n"
-        "@f\n+!foo(Y) : true.\n@g\n+!bar(s(a), Z) : true.\n@h\n+!bar(s(Z), a) : true.\n"))
-    # Each plan sits beside its priority: that of `probe_os` for @c, 0 for
-    # a plan with no catalog action.
-    assert {key: [(p.label, priority) for p, priority in plans]
+        "@f\n+!foo(Y) : true.\n@g\n+!bar(s(a), Z) : true.\n@h\n+!bar(s(Z), a) : true.\n"
+        "@i\n+foo(z) : true <- probe_os(z).\n"))
+    # Priority descending, then library order: @c and @i (`probe_os`, 100)
+    # before @a (no catalog action, 0), and @c before @i.
+    assert {key: [(p.label, plan_priority(p)) for p in plans]
             for key, plans in state.tables.triggers.items()} == {
-        ("+", "belief", "foo", 1): [("a", 0), ("c", 100)],
+        ("+", "belief", "foo", 1): [("c", 100), ("i", 100), ("a", 0)],
         ("+", "achieve", "foo", 1): [("b", 0), ("f", 0)],
         ("-", "belief", "foo", 1): [("d", 0)],
         ("+", "belief", "foo", 0): [("e", 0)],
@@ -120,15 +144,18 @@ def test_relevant_plans_match_op_kind_and_unify():
         "@p3\n-get(port) : true.\n"
         "@p4\n+get(port) : true.\n"))
     out = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("get", Atom("port"))))
-    assert [(p.label, u) for p, u, _ in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
+    assert [(p.label, u) for p, u in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
 
 
 def test_applicable_plans_one_desire_per_context_solution():
+    # The context has one solution per matching belief, in belief-base order;
+    # selection commits to the plan with the first of them.
     state = init_agent(parse_program("!g.\n@p\n+!g : port(P) <- act(P).\n"))
     beliefs = BeliefBase([lit("port", Number(80)), lit("port", Number(22))])
     relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("g")))
-    desires = applicable_plans(relevant, beliefs)
-    assert [u["P"] for _, u, _ in desires] == [Number(80), Number(22)]
+    [(plan, theta)] = relevant
+    assert [u["P"] for u in solve(plan.context, beliefs, theta)] == [Number(80), Number(22)]
+    assert select_intention(relevant, beliefs, set()) == (plan, {"P": Number(80)})
 
 
 def test_plan_priority_lookup_order():
@@ -141,18 +168,24 @@ def test_plan_priority_lookup_order():
 
 
 def test_select_intention_priority_then_order_then_attempted():
-    program = parse_program(
+    state = init_agent(parse_program(
+        "!g.\n"
         "@low\n+!g : true <- social_attack(t).\n"
         "@high\n+!g : true <- bof_attack(t, v, remote).\n"
-        "@high2\n+!g : true <- bof_attack(t, v, remote).\n")
-    desires = [(p, {}, plan_priority(p)) for p in program.plans]
-    pick = select_intention(desires, set())
-    assert pick[0].label == "high"
-    pick = select_intention(desires, {"high"})
-    assert pick[0].label == "high2"
-    pick = select_intention(desires, {"high", "high2"})
-    assert pick[0].label == "low"
-    assert select_intention(desires, {"low", "high", "high2"}) is None
+        "@high2\n+!g : true <- bof_attack(t, v, remote).\n"
+        "@blocked\n+!g : missing <- probe_os(t).\n"))
+    relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("g")))
+    beliefs = BeliefBase()
+
+    def pick(attempted):
+        choice = select_intention(relevant, beliefs, attempted)
+        return choice and choice[0].label
+
+    # @blocked ranks first but its context does not hold.
+    assert pick(set()) == "high"
+    assert pick({"high"}) == "high2"
+    assert pick({"high", "high2"}) == "low"
+    assert pick({"low", "high", "high2"}) is None
 
 
 # --- context solving --------------------------------------------------------
@@ -187,6 +220,35 @@ def test_solve_comparisons():
     assert solve(ctx("ssh \\= ftp"), BELIEFS, {}) == [{}]
     assert solve(ctx("ssh == ssh & ssh != ftp & 2 < 10 & b >= a"), BELIEFS, {}) == [{}]
     assert solve(ctx("2 < abc"), BELIEFS, {}) == []  # no cross-type ordering
+
+
+def _nest(template, depth, leaf):
+    for _ in range(depth):
+        leaf = template.format(leaf)
+    return leaf
+
+
+# The deepest nesting the parser accepts, of each kind. A term whose every
+# level is an infix `=` is about twice as deep as its count of levels.
+_DEEP_TERM = _nest("p({} = b)", _MAX_DEPTH - 1, "a")
+_DEEPEST = {
+    "not": "a.\n!g.\n+!g : " + "not " * _MAX_DEPTH + "a <- +g.",
+    "and": "a.\n!g.\n+!g : " + "a & " * _MAX_DEPTH + "a <- +g.",
+    "or": "!g.\n+!g : " + "a | " * _MAX_DEPTH + "true <- +g.",
+    "parentheses": "a.\n!g.\n+!g : " + "(" * _MAX_DEPTH + "a" + ")" * _MAX_DEPTH + " <- +g.",
+    "ground-term": f"{_DEEP_TERM}.\n!g.\n+!g : {_DEEP_TERM} <- +g.",
+    "bound-term": f"{_DEEP_TERM}.\n!g.\n+!g : p(X) <- .print(X); +seen(X); +g.",
+    "term-with-variable": f"{_nest('p({})', _MAX_DEPTH, 'a')}.\n!g.\n"
+                          f"+!g : {_nest('p({})', _MAX_DEPTH, 'X')} <- +seen(X); +g.",
+}
+
+
+@pytest.mark.parametrize("source", _DEEPEST.values(), ids=_DEEPEST.keys())
+def test_deepest_nesting_the_parser_accepts_runs(source):
+    program = parse_program(source)
+    pickle.loads(pickle.dumps(program))
+    result, state, env = run(source)
+    assert result == GOAL_ACHIEVED
 
 
 def test_goal_achieved_queries_beliefs():
@@ -394,6 +456,12 @@ def _scan_relevant(library, event):
     return out
 
 
+def _selection_order(scanned):
+    """The scan's result as relevant_plans gives it: in selection order
+    (priority descending, then library order), without the priorities."""
+    return [(plan, u) for plan, u, _ in sorted(scanned, key=lambda d: -d[2])]
+
+
 def _float_twin(t):
     """t with every number as a float: equal to t, but printed differently."""
     if isinstance(t, Number):
@@ -439,7 +507,8 @@ def test_trigger_table_matches_library_scan(triggers, event):
     # it. Compared as repr, since Number(1) == Number(1.0) though they print
     # differently.
     for e in events + events:
-        assert repr(relevant_plans(state.tables, e)) == repr(_scan_relevant(library, e))
+        assert repr(relevant_plans(state.tables, e)) == \
+            repr(_selection_order(_scan_relevant(library, e)))
 
 
 # --- per-program tables -----------------------------------------------------
@@ -486,3 +555,82 @@ def test_memoized_relevant_sets_match_fresh_ones_after_a_seed_sweep():
     assert memo
     for (op, kind, term), relevant in memo.items():
         assert repr(relevant) == repr(relevant_plans(fresh, TriggerEvent(op, kind, Literal(term))))
+
+
+# --- property: lazy selection picks what the eager desire set picks --------
+
+def _eager_solve(formula, beliefs, theta):
+    """`solve` as it was before ground context literals became one lookup:
+    every literal is substituted and queried."""
+    if isinstance(formula, TrueConst):
+        return [theta]
+    if isinstance(formula, LiteralCond):
+        pattern = substitute_literal(theta, formula.literal)
+        return [dict(theta, **u) for u in beliefs.query(pattern)]
+    if isinstance(formula, And):
+        return [s2 for s1 in _eager_solve(formula.left, beliefs, theta)
+                for s2 in _eager_solve(formula.right, beliefs, s1)]
+    if isinstance(formula, Or):
+        return _eager_solve(formula.left, beliefs, theta) + \
+            _eager_solve(formula.right, beliefs, theta)
+    if isinstance(formula, Not):
+        return [theta] if not _eager_solve(formula.operand, beliefs, theta) else []
+    assert isinstance(formula, Comparison)
+    return _compare(formula, theta)
+
+
+def _eager_applicable_plans(relevant, beliefs):
+    """The desire set: every relevant plan, attempted ones included, once per
+    solution of its context, in library order."""
+    return [(plan, solution, priority) for plan, theta, priority in relevant
+            for solution in _eager_solve(plan.context, beliefs, theta)]
+
+
+def _eager_select_intention(desires, attempted):
+    """The first desire of the highest priority among those not attempted."""
+    best = best_priority = None
+    for plan, bindings, priority in desires:
+        if plan.key not in attempted and (best is None or priority > best_priority):
+            best, best_priority = (plan, bindings), priority
+    return best
+
+
+# Context literals, ground and not, over facts that give a non-ground
+# literal zero, one or several solutions.
+_FACTS = ["port(80)", "port(22)", "port(443)", "service(ssh)", "service(http)",
+          "on(80, http)", "on(22, ssh)", "on(443, http)"]
+_CONTEXT_LITERALS = _FACTS + ["service(ftp)", "port(P)", "service(S)", "on(P, S)",
+                              "on(P, http)", "on(22, S)", "P > 30", "P = 22", "S \\= ssh",
+                              "X == a", "true"]
+_contexts = st.recursive(
+    st.sampled_from(_CONTEXT_LITERALS),
+    lambda inner: st.one_of(
+        st.builds("{} & {}".format, inner, inner),
+        st.builds("({} | {})".format, inner, inner),
+        st.builds("not {}".format, inner)),
+    max_leaves=5)
+# First actions of every priority, equal ones twice over, and none.
+_BODIES = ["probe_os(t)", "probe_ports(t)", "bof_attack(t, v, remote)",
+           "password_attack(t, ssh)", "sniffer_attack(t, u)", "act", ""]
+_plans = st.tuples(st.sampled_from(["X", "a", "b"]), _contexts, st.sampled_from(_BODIES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_plans, min_size=1, max_size=8), st.sets(st.sampled_from(_FACTS)),
+       st.sampled_from(["a", "b"]), st.data())
+def test_lazy_selection_matches_eager_desire_set(plans, facts, event_arg, data):
+    source = "!g(a).\n" + "".join(
+        f"@p{i}\n+!g({arg}) : {context}" + (f" <- {body}" if body else "") + ".\n"
+        for i, (arg, context, body) in enumerate(plans))
+    program = parse_program(source)
+    state = init_agent(program)
+    beliefs = BeliefBase(parse_program(" ".join(f + "." for f in facts)).beliefs)
+    event = TriggerEvent("+", ACHIEVE, lit("g", Atom(event_arg)))
+    attempted = data.draw(st.sets(st.sampled_from([p.key for p in program.plans])))
+    expected = _eager_select_intention(
+        _eager_applicable_plans(_scan_relevant(program.plans, event), beliefs), attempted)
+    # Twice over: the second call reads the memo of relevant sets.
+    for _ in range(2):
+        choice = select_intention(relevant_plans(state.tables, event), beliefs, attempted)
+        assert (choice and (choice[0].key, choice[1])) == \
+            (expected and (expected[0].key, expected[1]))
