@@ -74,11 +74,13 @@ class TestPasswordAttack:
     def test_below_threshold_fails_with_evidence(self):
         out = attack("password_attack", "ssh", draw=fixed(0.13183533644420975))
         assert not out.success
-        assert [literal_to_str(l) for l in out.evidence] == ["password_attack_failed"]
+        assert [literal_to_str(l) for l in out.evidence] == \
+            ["password_attack_failed[source(target)]"]
 
     def test_success_reveals_credential(self):
         out = attack("password_attack", "ssh", draw=fixed(0.95))
-        assert [literal_to_str(l) for l in out.evidence] == ['credential(ssh, "456")']
+        assert [literal_to_str(l) for l in out.evidence] == \
+            ['credential(ssh, "456")[source(target)]']
 
     def test_unloggable_service_is_precondition_error(self):
         with pytest.raises(ActionError, match="no remotely loggable service 'nginx'"):
@@ -91,7 +93,7 @@ class TestPasswordAttack:
         rng = fixed(0.99)
         out = attack("password_attack", "ssh", spec=spec, draw=rng)
         assert not out.success and out.draw is None
-        assert [literal_to_str(l) for l in out.evidence] == ["password_attack_failed"]
+        assert [literal_to_str(l) for l in out.evidence] == ["password_attack_failed[source(t)]"]
         assert rng.consumed == 0
 
 
@@ -99,12 +101,14 @@ class TestBufferOverflow:
     def test_remote_at_threshold_succeeds(self):
         out = attack("bof_attack", "cve_remote", "remote", draw=fixed(TH.bof_remote))
         assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == ['attacked("cve_remote")']
+        assert [literal_to_str(l) for l in out.evidence] == \
+            ['attacked("cve_remote")[source(target)]']
 
     def test_remote_below_threshold_fails(self):
         out = attack("bof_attack", "cve_remote", "remote", draw=fixed(0.49))
         assert not out.success
-        assert [literal_to_str(l) for l in out.evidence] == ["bof_attack_failed"]
+        assert [literal_to_str(l) for l in out.evidence] == \
+            ["bof_attack_failed[source(target)]"]
 
     def test_local_requires_user_privilege(self):
         with pytest.raises(ActionError, match="requires user privilege"):
@@ -154,7 +158,8 @@ class TestSniffer:
     def test_success_yields_host_credentials(self):
         out = attack("sniffer_attack", "peer", others=(self.PEER,), draw=fixed(TH.sniffer))
         assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == ['credential(ssh, "456")']
+        assert [literal_to_str(l) for l in out.evidence] == \
+            ['credential(ssh, "456")[source(target)]']
 
     def test_no_peer_raises(self):
         with pytest.raises(ActionError, match="target has no subnet peers"):
@@ -197,7 +202,8 @@ class TestSocialEngineering:
     def test_uses_most_susceptible_staffer(self):
         out = attack("social_attack", spec=self.STAFFED, draw=fixed(0.70))
         assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == ['phished("b@example.org")']
+        assert [literal_to_str(l) for l in out.evidence] == \
+            ['phished("b@example.org")[source(t)]']
 
     def test_below_threshold_fails(self):
         out = attack("social_attack", spec=self.STAFFED, draw=fixed(0.69))
@@ -227,7 +233,8 @@ class TestDispatch:
         out = resolve_attack(self.SCENARIO, LAN_HOST, "password_attack", ("ssh",),
                              Privilege.NONE, fixed(0.9))
         assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == ['credential(ssh, "456")']
+        assert [literal_to_str(l) for l in out.evidence] == \
+            ['credential(ssh, "456")[source(target)]']
 
     def test_resolve_sniffer_needs_a_peer(self):
         with pytest.raises(ActionError, match="no subnet peers"):

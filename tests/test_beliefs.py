@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from bdi_pentest.beliefs import (
     BeliefBase,
     NonGroundBelief,
-    make_percept,
     percept_source,
+    source_of,
 )
 from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable, unify
 
@@ -21,6 +21,10 @@ def comp(functor, *args):
 
 def lit(functor, *args):
     return Literal(comp(functor, *args) if args else Atom(functor))
+
+
+def percept(source, functor, *args):
+    return Literal(lit(functor, *args).term, source_of(source))
 
 
 def test_add_new_literal_emits_add_event():
@@ -38,8 +42,8 @@ def test_re_add_is_silent():
 
 def test_re_add_merges_annotations():
     bb = BeliefBase()
-    bb.add(make_percept(lit("ostype", Atom("linux")), "target"))
-    assert bb.add(make_percept(lit("ostype", Atom("linux")), "self")) is None
+    bb.add(percept("target", "ostype", Atom("linux")))
+    assert bb.add(percept("self", "ostype", Atom("linux"))) is None
     stored = next(iter(bb))
     assert stored.annotations == frozenset({
         comp("source", Atom("target")), comp("source", Atom("self"))})
@@ -54,7 +58,7 @@ def test_remove_present_and_absent():
 
 
 def test_remove_ignores_annotations():
-    bb = BeliefBase([make_percept(lit("port", Number(80)), "target")])
+    bb = BeliefBase([percept("target", "port", Number(80))])
     assert bb.remove(lit("port", Number(80))) == lit("port", Number(80))
     assert list(bb) == []
 
@@ -89,22 +93,16 @@ def test_query_threads_existing_substitution():
 
 
 def test_dump_lines_sorted_with_annotations():
-    bb = BeliefBase([
-        make_percept(lit("service", Atom("ssh")), "target"),
-        lit("privilege", Atom("root")),
-    ])
+    tagged = percept("target", "service", Atom("ssh"))
+    untagged = lit("privilege", Atom("root"))
+    assert tagged.annotations == frozenset({comp("source", Atom("target"))})
+    assert percept_source(tagged) == "target"
+    assert percept_source(untagged) is None
+    bb = BeliefBase([tagged, untagged])
     assert bb.dump_lines() == [
         "privilege(root)",
         "service(ssh)[source(target)]",
     ]
-
-
-def test_make_percept_replaces_existing_source():
-    l = make_percept(lit("port", Number(80)), "self")
-    l = make_percept(l, "target")
-    assert l.annotations == frozenset({comp("source", Atom("target"))})
-    assert percept_source(l) == "target"
-    assert percept_source(lit("port", Number(80))) is None
 
 
 # --- Model-based property vs a naive set oracle ----------------------------
@@ -185,7 +183,7 @@ def _literals(args):
        _literals(_pattern_terms),
        st.sampled_from([None, {}, {"X": Atom("a")}, {"Z": comp("f", Variable("W")), "W": Atom("b")},
                         {"X": Variable("Y"), "Y": Atom("a")}, {"X": Variable("Y")}]))
-@example([(True, lit("p", Atom("a")))], make_percept(lit("p", Atom("a")), "self"), None)
+@example([(True, lit("p", Atom("a")))], percept("self", "p", Atom("a")), None)
 @example([(True, lit("p", Number(1.0)))], lit("p", Number(1)), {"X": Variable("Y"), "Y": Atom("a")})
 def test_query_matches_linear_scan(ops, pattern, s):
     """Ground and non-ground patterns, annotated or not, present or absent,

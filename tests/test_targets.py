@@ -172,7 +172,7 @@ class TestHandleProbe:
                       staff=(Staff("ops@example.org"),))
 
     def probe(self, facet):
-        return [literal_to_str(l) for l in handle_probe(self.SPEC, facet)]
+        return [literal_to_str(l) for l in handle_probe(self.SPEC, facet)[0]]
 
     def test_each_facet(self):
         assert self.probe("os") == ["ostype(linux)[source(target)]"]
@@ -187,6 +187,15 @@ class TestHandleProbe:
         probes = {row.facet for row in ACTIONS.values() if row.kind == PROBE}
         assert probes == set(FACETS)
 
+    def test_one_trace_line_per_percept(self):
+        assert handle_probe(self.SPEC, "port")[1] == ["The target port are :80",
+                                                      "The target port are :22"]
+        assert handle_probe(self.SPEC, "vulnerability")[1] == [
+            "The target remote vulnerability is :cve_remote"]
+        for facet in FACETS:
+            percepts, lines = handle_probe(self.SPEC, facet)
+            assert len(percepts) == len(lines)
+
     def test_probe_is_pure(self):
         assert handle_probe(self.SPEC, "port") == handle_probe(self.SPEC, "port")
 
@@ -195,13 +204,24 @@ class TestRunRng:
     def test_matches_seeded_mersenne_twister(self):
         rng = RunRng(1234)
         ref = random.Random(1234)
-        assert [rng() for _ in range(5)] == [ref.random() for _ in range(5)]
+        assert [rng.chance(0.5)[1] for _ in range(5)] == [ref.random() for _ in range(5)]
         assert rng.consumed == 5
 
     def test_scripted_prefix_then_seeded_tail(self):
         rng = RunRng(1234, (0.25, 0.75))
-        ref = random.Random(1234)
-        assert rng() == 0.25
-        assert rng() == 0.75
-        assert rng() == ref.random()
+        ref = random.Random(1234).random()
+        assert rng.chance(0.5) == (False, 0.25)
+        assert rng.chance(0.5) == (True, 0.75)
+        assert rng.chance(0.5) == (ref >= 0.5, ref)
         assert rng.consumed == 3
+
+    def test_draw_equal_to_threshold_succeeds(self):
+        rng = RunRng(0, (0.8, 0.8, 0.0, 0.0))
+        assert rng.chance(0.8) == (True, 0.8)
+        assert rng.chance(0.80000001) == (False, 0.8)
+        assert rng.chance(0.0) == (True, 0.0)
+        assert rng.chance(1.0) == (False, 0.0)
+        # Every draw counts, won or lost, scripted or seeded.
+        assert rng.consumed == 4
+        rng.chance(1.0)
+        assert rng.consumed == 5
