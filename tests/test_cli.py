@@ -1,9 +1,13 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bdi_pentest import cli
 from bdi_pentest.cli import main
@@ -159,13 +163,23 @@ def _no_batch(*args, **kwargs):
     ([], None, "!g.\n+!g : " + "not " * 3000 + "a <- act.\n", "nested more than"),
     ([], None, "!g.\n" + "p(" * 2000 + "a" + ")" * 2000 + ".\n", "nested more than"),
     ([], None, "!g.\n+!g : " + "a & " * 3000 + "a <- act.\n", "nested more than"),
+    # YAML nested past 16 levels, in text or through aliases, is refused
+    # before PyYAML's recursive composer, and a YAML error is one line.
+    ([], "targets: " + "[" * 5000 + "]" * 5000 + "\n", None, "nested more than 16"),
+    ([], "".join("  " * i + f"k{i}:\n" for i in range(3000)), None, "nested more than 16"),
+    ([], "targets: [&a0 [1], " + ", ".join(f"&a{i} [*a{i - 1}]" for i in range(1, 3000))
+     + "]\nseed: *a2999\n", None, "nested more than 16"),
+    ([], "targets: [\n", None, "invalid YAML"),
+    ([], "name: \x01\n", None, "invalid YAML"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
         "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
         "workers-above-cpu-count", "report-unwritable", "trace-unwritable",
         "draws-not-a-number", "draws-out-of-range", "repeat-with-report",
         "repeat-with-trace", "repeat-with-format", "repeat-with-draws",
         "repeat-with-max-cycles", "repeat-past-seed-range", "repeat-past-yaml-seed-range",
-        "workers-without-repeat", "nested-not", "nested-term", "long-conjunction"])
+        "workers-without-repeat", "nested-not", "nested-term", "long-conjunction",
+        "deep-yaml-list", "deep-yaml-mapping", "yaml-alias-chain", "yaml-syntax-error",
+        "yaml-control-character"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.
@@ -187,6 +201,76 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, 
     if named.startswith("--"):
         assert captured.err.startswith(f"error: {named}: ")
     assert named in captured.err
+
+
+@pytest.mark.parametrize("agent_text", [
+    # A number too large for a float, compared exactly.
+    "!g.\n+!g : 1" + "0" * 400 + " < 1 <- report.\n",
+    # Terms that grow one level per cycle fail the step that would make
+    # them deeper than the run-time cap, and the run ends.
+    "c(a). !g. +!g : c(X) & not c(f(X)) <- +c(f(X)); !g.\n",
+    "!g(a). +!g(X) : true <- !g(f(X)).\n",
+], ids=["huge-integer", "growing-belief", "growing-goal"])
+def test_run_ends_with_exit_one(tmp_path, capsys, agent_text):
+    agent = tmp_path / "agent.asl"
+    agent.write_text(agent_text)
+    code = run_cli("--scenario", SCENARIO_FILE, "--agent", str(agent), "--max-cycles", "1000")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert "result: exhausted" in captured.out
+
+
+# --- property: no input escapes as a traceback ------------------------------
+
+DEEP_YAML_LIST = "targets: " + "[" * 5000 + "]" * 5000 + "\n"
+DEEP_YAML_MAPPING = "".join("  " * i + f"k{i}:\n" for i in range(3000))
+HUGE_INTEGER = "!g.\n+!g : 1" + "0" * 400 + " < 1 <- report.\n"
+GROWING_BELIEF = "c(a). !g. +!g : c(X) & not c(f(X)) <- +c(f(X)); !g.\n"
+GROWING_GOAL = "!g(a). +!g(X) : true <- !g(f(X)).\n"
+
+_SCENARIO_SEEDS = [(SCENARIOS / f).read_text()
+                   for f in ("single_target.yaml", "hardened.yaml", "campaign.yaml")]
+_SCENARIO_SEEDS += [DEEP_YAML_LIST, DEEP_YAML_MAPPING]
+_AGENT_SEEDS = [(SCENARIOS / f).read_text()
+                for f in ("single_target_agent.asl", "campaign_agent.asl")]
+_AGENT_SEEDS += [HUGE_INTEGER, GROWING_BELIEF, GROWING_GOAL]
+
+# Characters that mean something to YAML or to the plan language, and a few
+# that mean nothing to either.
+_NOISE = st.text("[]{}()<>,:;.!?+-*&|=~@#%'\"\\ \n\t0123456789aXz_é٣\x00", max_size=6)
+
+
+@st.composite
+def _mutated(draw, seeds):
+    """A seed text with up to three spans deleted, repeated or replaced."""
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 40)))
+        middle = draw(st.sampled_from(["", text[i:j] * 2, draw(_NOISE)]))
+        text = text[:i] + middle + text[j:]
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated(_SCENARIO_SEEDS), _mutated(_AGENT_SEEDS))
+@example(DEEP_YAML_LIST, _AGENT_SEEDS[0])
+@example(DEEP_YAML_MAPPING, _AGENT_SEEDS[0])
+@example(_SCENARIO_SEEDS[0], HUGE_INTEGER)
+def test_no_input_escapes_as_a_traceback(scenario_text, agent_text):
+    with tempfile.TemporaryDirectory() as d:
+        scenario, agent = Path(d) / "scenario.yaml", Path(d) / "agent.asl"
+        scenario.write_text(scenario_text)
+        agent.write_text(agent_text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli("--scenario", str(scenario), "--agent", str(agent),
+                           "--max-cycles", "200")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def _failing_run(*args, **kwargs):

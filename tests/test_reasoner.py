@@ -29,6 +29,7 @@ from bdi_pentest.reasoner import (
     RUNNING,
     Event,
     NoInitialGoal,
+    _MAX_TERM_DEPTH,
     _compare,
     execute_step,
     goal_achieved,
@@ -49,6 +50,7 @@ from bdi_pentest.terms import (
     Number,
     StringLit,
     Variable,
+    deeper_than,
     substitute_literal,
     unify,
 )
@@ -222,6 +224,17 @@ def test_solve_comparisons():
     assert solve(ctx("2 < abc"), BELIEFS, {}) == []  # no cross-type ordering
 
 
+@pytest.mark.parametrize("src,holds", [
+    ("1 < 1.5", True), ("2 >= 2.0", True), ("2.0 <= 2", True), ("2 > 2.0", False),
+    (f"{10 ** 400} > 1.5", True), (f"1.5 >= {10 ** 400}", False),
+    (f"{10 ** 400} < {10 ** 400 + 1}", True), (f"{2 ** 53 + 1} > {float(2 ** 53)}", True),
+    # Atoms and strings order by their text; numbers never meet text.
+    ('abc < "abd"', True), ("b >= a", True), (f"{10 ** 400} < abc", False),
+])
+def test_compare_orders_numbers_exactly(src, holds):
+    assert _compare(ctx(src), {}) == ([{}] if holds else [])
+
+
 def _nest(template, depth, leaf):
     for _ in range(depth):
         leaf = template.format(leaf)
@@ -238,6 +251,10 @@ _DEEPEST = {
     "parentheses": "a.\n!g.\n+!g : " + "(" * _MAX_DEPTH + "a" + ")" * _MAX_DEPTH + " <- +g.",
     "ground-term": f"{_DEEP_TERM}.\n!g.\n+!g : {_DEEP_TERM} <- +g.",
     "bound-term": f"{_DEEP_TERM}.\n!g.\n+!g : p(X) <- .print(X); +seen(X); +g.",
+    # 127 compound levels: the deepest belief the parser accepts, and a
+    # run-time belief as deep built from its argument.
+    "deepest-bound-term": f"{_nest('p({} = b)', _MAX_DEPTH - 1, 'p(a)')}.\n!g.\n"
+                          "+!g : p(X) <- +seen(X); +g.",
     "term-with-variable": f"{_nest('p({})', _MAX_DEPTH, 'a')}.\n!g.\n"
                           f"+!g : {_nest('p({})', _MAX_DEPTH, 'X')} <- +seen(X); +g.",
 }
@@ -249,6 +266,21 @@ def test_deepest_nesting_the_parser_accepts_runs(source):
     pickle.loads(pickle.dumps(program))
     result, state, env = run(source)
     assert result == GOAL_ACHIEVED
+
+
+@pytest.mark.parametrize("source,functor", [
+    ("!g(a). +!g(X) : true <- !g(f(X)).", "g"),
+    ("!g(a). +!g(X) : true <- act(f(f(X))); !g(f(X)).", "f"),
+    ("!g(a). +!g(X) : true <- +b(f(X)); !g(f(X)).", "b"),
+], ids=["subgoal", "action", "belief"])
+def test_terms_built_at_run_time_stay_within_the_cap(source, functor):
+    # Each agent nests its goal one level deeper per plan; the first step
+    # that would build a term past the cap fails, every plan above it
+    # fails in turn, and no belief, failed-goal markers included, is deeper.
+    result, state, env = run(source, cap=1000)
+    assert result == EXHAUSTED
+    assert f"term {functor}(...) is nested more than {_MAX_TERM_DEPTH} levels deep" in env.trace
+    assert not any(deeper_than(b.term, _MAX_TERM_DEPTH) for b in state.beliefs)
 
 
 def test_goal_achieved_queries_beliefs():

@@ -1,10 +1,13 @@
 from pathlib import Path
 
+import pytest
+
 from bdi_pentest import load_scenario, parse_program
 from bdi_pentest.runner import (
     CYCLE_CAP,
     EXHAUSTED,
     GOAL_ACHIEVED,
+    _run,
     emit_report,
     parse_report,
     run_batch,
@@ -65,6 +68,24 @@ def test_trace_rate_lines_match_report_draws(single_target_scenario, single_targ
     assert len(rate_lines) == len(drawn_steps)
     for line, step in zip(rate_lines, drawn_steps):
         assert line.endswith(repr(step.draw))
+
+
+@pytest.mark.parametrize("scenario_file,agent_file,seeds", [
+    ("single_target.yaml", "single_target_agent.asl", range(500)),
+    ("hardened.yaml", "single_target_agent.asl", range(50)),
+    ("campaign.yaml", "campaign_agent.asl", range(200)),
+], ids=["single_target", "hardened", "campaign"])
+def test_one_draw_per_report_step_with_a_draw(scenario_file, agent_file, seeds):
+    scenario = load_scenario((SCENARIOS / scenario_file).read_text())
+    program = parse_program((SCENARIOS / agent_file).read_text())
+    total = 0
+    for seed in seeds:
+        _, _, env = _run(scenario, program, seed)
+        drawn = sum(s.draw is not None for s in env.steps)
+        assert env.rng.consumed == drawn, f"seed {seed}"
+        total += drawn
+    # The hardened target offers no chance-based attempt; the others do.
+    assert (total > 0) == (scenario_file != "hardened.yaml")
 
 
 def test_same_seed_gives_identical_runs(single_target_scenario, single_target_program):

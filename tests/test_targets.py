@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import yaml
 
 from bdi_pentest.actions import ACTIONS, PROBE
 from bdi_pentest.targets import (
@@ -117,6 +118,41 @@ def test_config_errors_carry_field_path(text, path_fragment):
     with pytest.raises(ConfigError) as e:
         load_scenario(text)
     assert path_fragment in e.value.path
+
+
+def _loaded_depth(value, open_=()):
+    """Levels of a loaded YAML value, a scalar counting one; unbounded for a
+    value that holds itself."""
+    if id(value) in open_:
+        return float("inf")
+    if isinstance(value, dict):
+        below = [x for pair in value.items() for x in pair]
+    elif isinstance(value, list):
+        below = value
+    else:
+        return 1
+    return 1 + max((_loaded_depth(x, open_ + (id(value),)) for x in below), default=0)
+
+
+def _yaml_depth_cases():
+    for k in range(17):
+        # Shallow, and either side of 16 levels.
+        for j in {0, 13 - k, 14 - k, 15 - k} & set(range(17)):
+            k_, j_ = "[" * k + "1" + "]" * k, ("[" * j, "]" * j)
+            yield f"name: &a {k_}\nseed: {j_[0]}*a{j_[1]}\n"
+            yield f"name: &a [&b {k_}]\nseed: {j_[0]}*b{j_[1]}\nx: *a\n"
+            yield f"name: &a [&b {k_}, &c [{j_[0]}*b{j_[1]}]]\nseed: [*c]\n"
+    yield "seed: &x [*x]\n"
+
+
+def test_yaml_nested_past_16_levels_is_refused_aliases_included():
+    # Refused exactly when the value PyYAML would load, aliases expanded, is
+    # more than 16 levels deep; everything else reaches the field checks.
+    for text in _yaml_depth_cases():
+        too_deep = _loaded_depth(yaml.safe_load(text)) > 16
+        with pytest.raises(ConfigError) as e:
+            load_scenario(text)
+        assert ("nested more than 16 levels deep" in str(e.value)) == too_deep, text
 
 
 RICH_YAML = """

@@ -8,6 +8,7 @@ from bdi_pentest.terms import (
     Number,
     StringLit,
     Variable,
+    deeper_than,
     is_ground,
     literal_to_str,
     substitute,
@@ -119,3 +120,19 @@ def test_mgu_is_idempotent(a, b):
 def test_ground_terms_have_no_variables(t):
     from bdi_pentest.terms import variables_of
     assert is_ground(t) == (not variables_of(t))
+
+
+def _depth(t):
+    return 1 + max(map(_depth, t.args)) if isinstance(t, Compound) else 0
+
+
+@given(_terms(), st.integers(0, 4))
+def test_deeper_than_matches_depth(t, levels):
+    assert deeper_than(t, levels) == (_depth(t) > levels)
+
+
+def test_deeper_than_stops_at_its_levels():
+    t = Atom("a")
+    for _ in range(5000):  # deeper than a recursive walk could go
+        t = comp("f", t)
+    assert deeper_than(t, 128) and not deeper_than(comp("f", Atom("a")), 1)
