@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from bdi_pentest.beliefs import (
     BeliefBase,
     NonGroundBelief,
-    percept_source,
+    has_source,
     source_of,
 )
 from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable, unify
@@ -96,8 +96,8 @@ def test_dump_lines_sorted_with_annotations():
     tagged = percept("target", "service", Atom("ssh"))
     untagged = lit("privilege", Atom("root"))
     assert tagged.annotations == frozenset({comp("source", Atom("target"))})
-    assert percept_source(tagged) == "target"
-    assert percept_source(untagged) is None
+    assert has_source(tagged)
+    assert not has_source(untagged)
     bb = BeliefBase([tagged, untagged])
     assert bb.dump_lines() == [
         "privilege(root)",

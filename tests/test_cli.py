@@ -170,6 +170,10 @@ def _no_batch(*args, **kwargs):
     ([], "targets: [&a0 [1], " + ", ".join(f"&a{i} [*a{i - 1}]" for i in range(1, 3000))
      + "]\nseed: *a2999\n", None, "nested more than 16"),
     ([], "targets: [\n", None, "invalid YAML"),
+    # An integer with more digits than Python converts is refused at its
+    # position, in the YAML and in the agent text.
+    ([], "seed: 1" + "0" * 5000 + "\n" + ONE_TARGET, None, "line 1, column 7"),
+    ([], None, "!g. +!g : X = 1" + "0" * 5000 + " <- true.\n", "1:15"),
     ([], "name: \x01\n", None, "invalid YAML"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
         "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
@@ -179,7 +183,7 @@ def _no_batch(*args, **kwargs):
         "repeat-with-max-cycles", "repeat-past-seed-range", "repeat-past-yaml-seed-range",
         "workers-without-repeat", "nested-not", "nested-term", "long-conjunction",
         "deep-yaml-list", "deep-yaml-mapping", "yaml-alias-chain", "yaml-syntax-error",
-        "yaml-control-character"])
+        "yaml-huge-integer", "agent-huge-integer", "yaml-control-character"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.

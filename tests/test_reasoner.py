@@ -272,7 +272,8 @@ def test_deepest_nesting_the_parser_accepts_runs(source):
     ("!g(a). +!g(X) : true <- !g(f(X)).", "g"),
     ("!g(a). +!g(X) : true <- act(f(f(X))); !g(f(X)).", "f"),
     ("!g(a). +!g(X) : true <- +b(f(X)); !g(f(X)).", "b"),
-], ids=["subgoal", "action", "belief"])
+    ("c(a). !g. +!g : c(X) & not c(f(X)) <- +c(f(X)); !g.", "c"),
+], ids=["subgoal", "action", "belief", "context"])
 def test_terms_built_at_run_time_stay_within_the_cap(source, functor):
     # Each agent nests its goal one level deeper per plan; the first step
     # that would build a term past the cap fails, every plan above it

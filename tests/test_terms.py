@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +14,10 @@ from bdi_pentest.terms import (
     is_ground,
     literal_to_str,
     substitute,
+    substitute_literal,
     term_to_str,
     unify,
+    variables_of,
 )
 
 
@@ -116,10 +120,18 @@ def test_mgu_is_idempotent(a, b):
         assert applied == u
 
 
-@given(_terms())
-def test_ground_terms_have_no_variables(t):
-    from bdi_pentest.terms import variables_of
-    assert is_ground(t) == (not variables_of(t))
+@given(_terms(), _terms())
+def test_ground_terms_have_no_variables(t, bound):
+    # Groundness survives pickling, and a ground term or literal is its own
+    # image under any substitution.
+    s = {"X": bound}
+    for term in (t, pickle.loads(pickle.dumps(t))):
+        assert is_ground(term) == (not variables_of(t))
+        if is_ground(term):
+            assert substitute(s, term) is term
+            if isinstance(term, (Atom, Compound)):
+                l = Literal(term)
+                assert substitute_literal(s, l) is l
 
 
 def _depth(t):
