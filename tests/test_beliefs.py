@@ -12,25 +12,38 @@ from bdi_pentest.beliefs import (
     has_source,
     source_of,
 )
-from bdi_pentest.terms import Atom, Compound, Literal, Number, StringLit, Variable, unify
+from bdi_pentest.terms import (
+    Atom,
+    Compound,
+    Literal,
+    Number,
+    StringLit,
+    Variable,
+    signature,
+    unify,
+)
 
 
 def comp(functor, *args):
     return Compound(functor, tuple(args))
 
 
+def term(functor, *args):
+    return comp(functor, *args) if args else Atom(functor)
+
+
 def lit(functor, *args):
-    return Literal(comp(functor, *args) if args else Atom(functor))
+    return Literal(term(functor, *args))
 
 
 def percept(source, functor, *args):
-    return Literal(lit(functor, *args).term, source_of(source))
+    return Literal(term(functor, *args), source_of(source))
 
 
 def test_add_new_literal_emits_add_event():
     bb = BeliefBase()
-    assert bb.add(lit("port", Number(80))) == lit("port", Number(80))
-    assert lit("port", Number(80)) in bb
+    assert bb.add(lit("port", Number(80))) == term("port", Number(80))
+    assert term("port", Number(80)) in bb
     assert list(bb) == [lit("port", Number(80))]
 
 
@@ -51,15 +64,15 @@ def test_re_add_merges_annotations():
 
 def test_remove_present_and_absent():
     bb = BeliefBase([lit("port", Number(80))])
-    assert bb.remove(lit("port", Number(22))) is None
-    assert bb.remove(lit("port", Number(80))) == lit("port", Number(80))
-    assert bb.remove(lit("port", Number(80))) is None
+    assert bb.remove(term("port", Number(22))) is None
+    assert bb.remove(term("port", Number(80))) == term("port", Number(80))
+    assert bb.remove(term("port", Number(80))) is None
     assert list(bb) == []
 
 
 def test_remove_ignores_annotations():
     bb = BeliefBase([percept("target", "port", Number(80))])
-    assert bb.remove(lit("port", Number(80))) == lit("port", Number(80))
+    assert bb.remove(term("port", Number(80))) == term("port", Number(80))
     assert list(bb) == []
 
 
@@ -68,25 +81,25 @@ def test_non_ground_literal_rejected():
     with pytest.raises(NonGroundBelief):
         bb.add(Literal(comp("port", Variable("X"))))
     with pytest.raises(NonGroundBelief):
-        bb.remove(Literal(comp("port", Variable("X"))))
+        bb.remove(comp("port", Variable("X")))
 
 
 def test_query_returns_bindings_in_insertion_order():
     bb = BeliefBase([lit("port", Number(80)), lit("port", Number(22)),
                      lit("port", Number(3306))])
-    answers = bb.query(Literal(comp("port", Variable("P"))))
+    answers = bb.query(comp("port", Variable("P")))
     assert [s["P"] for s in answers] == [Number(80), Number(22), Number(3306)]
 
 
 def test_query_ground_pattern():
     bb = BeliefBase([lit("service", Atom("ssh"))])
-    assert bb.query(lit("service", Atom("ssh"))) == [{}]
-    assert bb.query(lit("service", Atom("ftp"))) == []
+    assert bb.query(term("service", Atom("ssh"))) == [{}]
+    assert bb.query(term("service", Atom("ftp"))) == []
 
 
 def test_query_threads_existing_substitution():
     bb = BeliefBase([lit("pair", Atom("a"), Atom("b"))])
-    pattern = Literal(comp("pair", Variable("X"), Variable("Y")))
+    pattern = comp("pair", Variable("X"), Variable("Y"))
     answers = bb.query(pattern, {"X": Atom("a")})
     assert answers == [{"X": Atom("a"), "Y": Atom("b")}]
     assert bb.query(pattern, {"X": Atom("z")}) == []
@@ -96,8 +109,8 @@ def test_dump_lines_sorted_with_annotations():
     tagged = percept("target", "service", Atom("ssh"))
     untagged = lit("privilege", Atom("root"))
     assert tagged.annotations == frozenset({comp("source", Atom("target"))})
-    assert has_source(tagged)
-    assert not has_source(untagged)
+    assert has_source(tagged.annotations)
+    assert not has_source(untagged.annotations)
     bb = BeliefBase([tagged, untagged])
     assert bb.dump_lines() == [
         "privilege(root)",
@@ -126,18 +139,18 @@ def test_belief_base_matches_naive_set_oracle(ops):
     for op, literal in ops:
         if op == "add":
             changed = bb.add(literal)
-            expected = None if literal in oracle else literal
+            expected = None if literal in oracle else literal.term
             oracle.add(literal)
         else:
-            changed = bb.remove(literal)
-            expected = literal if literal in oracle else None
+            changed = bb.remove(literal.term)
+            expected = literal.term if literal in oracle else None
             oracle.discard(literal)
         assert changed == expected
         stored = list(bb)
         assert set(stored) == oracle and len(stored) == len(oracle)
     # Every stored literal answers a ground query; nothing else does.
     for literal in oracle:
-        assert bb.query(literal) == [{}]
+        assert bb.query(literal.term) == [{}]
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +159,7 @@ def test_event_count_equals_symmetric_difference(literals):
     bb = BeliefBase()
     added = [l for l in literals if bb.add(l) is not None]
     assert len(added) == len(set(literals))
-    removed = [l for l in set(literals) if bb.remove(l) is not None]
+    removed = [l for l in set(literals) if bb.remove(l.term) is not None]
     assert len(removed) == len(set(literals))
     assert list(bb) == []
 
@@ -154,12 +167,12 @@ def test_event_count_equals_symmetric_difference(literals):
 # --- property: a query answers what a scan of the stored literals answers ---
 
 def _scan_query(bb, pattern, s=None):
-    """The linear scan ground lookups replace: every stored literal with the
+    """The linear scan ground lookups replace: every stored term with the
     pattern's functor and arity, in insertion order, that unifies with it."""
     out = []
     for stored in bb:
-        if (stored.functor, stored.arity) == (pattern.functor, pattern.arity):
-            u = unify(pattern.term, stored.term, s)
+        if signature(stored.term) == signature(pattern):
+            u = unify(pattern, stored.term, s)
             if u is not None:
                 out.append(u)
     return out
@@ -173,24 +186,28 @@ _sources = st.sets(st.sampled_from(["self", "target"]), max_size=2).map(
     lambda names: frozenset(comp("source", Atom(n)) for n in names))
 
 
-def _literals(args):
-    return st.builds(lambda n, a, anns: Literal(comp(n, *a) if a else Atom(n), anns),
-                     st.sampled_from(["p", "q"]), st.lists(args, max_size=2), _sources)
+def _patterns(args):
+    return st.builds(lambda n, a: term(n, *a), st.sampled_from(["p", "q"]),
+                     st.lists(args, max_size=2))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), _literals(_ground_terms)), max_size=20),
-       _literals(_pattern_terms),
+@given(st.lists(st.tuples(st.booleans(), st.builds(Literal, _patterns(_ground_terms), _sources)),
+                max_size=20),
+       _patterns(_pattern_terms),
        st.sampled_from([None, {}, {"X": Atom("a")}, {"Z": comp("f", Variable("W")), "W": Atom("b")},
                         {"X": Variable("Y"), "Y": Atom("a")}, {"X": Variable("Y")}]))
-@example([(True, lit("p", Atom("a")))], percept("self", "p", Atom("a")), None)
-@example([(True, lit("p", Number(1.0)))], lit("p", Number(1)), {"X": Variable("Y"), "Y": Atom("a")})
+@example([(True, percept("self", "p", Atom("a")))], term("p", Atom("a")), None)
+@example([(True, lit("p", Number(1.0)))], term("p", Number(1)), {"X": Variable("Y"), "Y": Atom("a")})
 def test_query_matches_linear_scan(ops, pattern, s):
-    """Ground and non-ground patterns, annotated or not, present or absent,
-    under no, idempotent and non-idempotent substitutions."""
+    """Ground and non-ground patterns, present or absent, against annotated
+    beliefs, under no, idempotent and non-idempotent substitutions."""
     bb = BeliefBase()
     for add, literal in ops:
-        (bb.add if add else bb.remove)(literal)
+        if add:
+            bb.add(literal)
+        else:
+            bb.remove(literal.term)
     assert bb.query(pattern, s) == _scan_query(bb, pattern, s)
 
 
@@ -207,13 +224,13 @@ _DUMP = _BELIEFS + """
 import pickle, sys
 from bdi_pentest.beliefs import BeliefBase
 bb = BeliefBase(BELIEFS)
-assert all(l in bb for l in BELIEFS)  # every term hashed before pickling
+assert all(l.term in bb for l in BELIEFS)  # every term hashed before pickling
 sys.stdout.buffer.write(pickle.dumps(bb))
 """
 _LOOKUP = _BELIEFS + """
 import pickle, sys
 bb = pickle.loads(sys.stdin.buffer.read())
-print(all(l in bb for l in BELIEFS), [bb.add(l) for l in BELIEFS])
+print(all(l.term in bb for l in BELIEFS), [bb.add(l) for l in BELIEFS])
 """
 
 

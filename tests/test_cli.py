@@ -173,6 +173,9 @@ def _no_batch(*args, **kwargs):
     # An integer with more digits than Python converts is refused at its
     # position, in the YAML and in the agent text.
     ([], "seed: 1" + "0" * 5000 + "\n" + ONE_TARGET, None, "line 1, column 7"),
+    ([], "seed: 0x" + "f" * 5000 + "\n" + ONE_TARGET, None, "line 1, column 7"),
+    ([], "targets:\n  - {name: t, os: linux, ports: [0b" + "1" * 20000 + "]}\n", None,
+     "line 2, column 34"),
     ([], None, "!g. +!g : X = 1" + "0" * 5000 + " <- true.\n", "1:15"),
     ([], "name: \x01\n", None, "invalid YAML"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
@@ -183,7 +186,8 @@ def _no_batch(*args, **kwargs):
         "repeat-with-max-cycles", "repeat-past-seed-range", "repeat-past-yaml-seed-range",
         "workers-without-repeat", "nested-not", "nested-term", "long-conjunction",
         "deep-yaml-list", "deep-yaml-mapping", "yaml-alias-chain", "yaml-syntax-error",
-        "yaml-huge-integer", "agent-huge-integer", "yaml-control-character"])
+        "yaml-huge-integer", "yaml-hex-integer", "yaml-binary-port", "agent-huge-integer",
+        "yaml-control-character"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.

@@ -51,7 +51,7 @@ def test_parse_initial_belief_with_ip_address():
 
 def test_parse_initial_goal():
     program = parse_program("!privilege(root).")
-    assert program.goals == (Literal(comp("privilege", Atom("root"))),)
+    assert program.goals == (comp("privilege", Atom("root")),)
     assert not program.beliefs and not program.plans
 
 
@@ -63,7 +63,7 @@ def test_parse_minimal_plan():
     program = parse_program("+!get(port) : true <- nmap(ip_address).")
     assert len(program.plans) == 1
     plan = program.plans[0]
-    assert plan.trigger == TriggerEvent("+", ACHIEVE, Literal(comp("get", Atom("port"))))
+    assert plan.trigger == TriggerEvent("+", ACHIEVE, comp("get", Atom("port")))
     assert plan.context == TrueConst()
     assert plan.body == (Action("nmap", (Atom("ip_address"),)),)
 
@@ -127,8 +127,8 @@ def test_forms_the_engine_cannot_run_are_rejected(src, line, col, message):
 def test_annotations_kept_on_initial_beliefs_and_added_beliefs():
     program = parse_program("port(80)[source(t)].\n+!g : true <- +seen(t)[source(scan)].")
     assert program.beliefs[0].annotations == frozenset({comp("source", Atom("t"))})
-    assert program.plans[0].body[0].literal.annotations == \
-        frozenset({comp("source", Atom("scan"))})
+    assert program.plans[0].body[0] == \
+        AddBelief(comp("seen", Atom("t")), frozenset({comp("source", Atom("scan"))}))
 
 
 def test_duplicate_label_rejected():
@@ -231,7 +231,7 @@ def test_gathering_attack_program_shape():
     assert kinds == [ACHIEVE, ACHIEVE, ACHIEVE, ACHIEVE, BELIEF, BELIEF]
     # `port == 80` inside a trigger argument parses as an infix compound.
     sqli = program.plans[-1]
-    assert sqli.trigger.literal.term == comp("get", comp("==", Atom("port"), Number(80)))
+    assert sqli.trigger.term == comp("get", comp("==", Atom("port"), Number(80)))
     assert isinstance(sqli.context, Or)
 
 
@@ -248,7 +248,7 @@ def _context_str(f):
     if isinstance(f, TrueConst):
         return "true"
     if isinstance(f, LiteralCond):
-        return literal_to_str(f.literal)
+        return term_to_str(f.term)
     if isinstance(f, Comparison):
         return f"{term_to_str(f.lhs)} {f.op} {term_to_str(f.rhs)}"
     if isinstance(f, Not):
@@ -257,7 +257,7 @@ def _context_str(f):
     return f"({_context_str(f.left)}) {op} ({_context_str(f.right)})"
 
 
-_STEP_MARKS = {AchieveGoal: "!", TestGoal: "?", AddBelief: "+", RemoveBelief: "-"}
+_STEP_MARKS = {AchieveGoal: "!", TestGoal: "?", RemoveBelief: "-"}
 
 
 def _step_str(s):
@@ -265,20 +265,22 @@ def _step_str(s):
         return f"{s.name}({_terms_str(s.args)})" if s.args else s.name
     if isinstance(s, InternalPrint):
         return f".print({_terms_str(s.args)})"
-    return _STEP_MARKS[type(s)] + literal_to_str(s.literal)
+    if isinstance(s, AddBelief):
+        return "+" + literal_to_str(Literal(s.term, s.annotations))
+    return _STEP_MARKS[type(s)] + term_to_str(s.term)
 
 
 def _plan_str(p):
     label = f"@{p.label}\n" if p.label is not None else ""
     mark = "!" if p.trigger.kind == ACHIEVE else ""
     body = f"\n<- {'; '.join(_step_str(s) for s in p.body)}" if p.body else ""
-    return (f"{label}{p.trigger.op}{mark}{literal_to_str(p.trigger.literal)}"
+    return (f"{label}{p.trigger.op}{mark}{term_to_str(p.trigger.term)}"
             f" : {_context_str(p.context)}{body}.")
 
 
 def program_to_str(p):
     return "\n".join([f"{literal_to_str(b)}." for b in p.beliefs]
-                     + [f"!{literal_to_str(g)}." for g in p.goals]
+                     + [f"!{term_to_str(g)}." for g in p.goals]
                      + [_plan_str(plan) for plan in p.plans]) + "\n"
 
 
@@ -308,19 +310,17 @@ def _terms():
     return st.one_of(_ground_terms(), _var_names.map(Variable))
 
 
-def _literals(terms, annotated=False):
-    """Literals over `terms`; annotated ones only where the parser keeps
-    annotations (initial beliefs and +b steps)."""
-    bodies = st.one_of(
+def _literals(terms):
+    """The terms of literals over `terms`: atoms and compounds."""
+    return st.one_of(
         _atom_names.map(Atom),
         st.tuples(_atom_names, st.lists(terms, min_size=1, max_size=3))
         .map(lambda t: Compound(t[0], tuple(t[1]))),
     )
-    if not annotated:
-        return bodies.map(Literal)
-    annotations = st.frozensets(_ground_terms(), max_size=2)
-    return st.tuples(bodies, annotations).map(
-        lambda t: Literal(t[0], annotations=t[1]))
+
+
+# Annotation sets, kept only on initial beliefs and +b steps
+_annotations = st.frozensets(_ground_terms(), max_size=2)
 
 
 def _contexts():
@@ -348,7 +348,7 @@ def _steps():
         .map(lambda t: Action(t[0], tuple(t[1]))),
         ground_literals.map(AchieveGoal),
         _literals(_terms()).map(TestGoal),
-        _literals(_ground_terms(), annotated=True).map(AddBelief),
+        st.builds(AddBelief, _literals(_ground_terms()), _annotations),
         ground_literals.map(RemoveBelief),
         st.lists(_ground_terms(), min_size=1, max_size=2)
         .map(lambda a: InternalPrint(tuple(a))),
@@ -370,7 +370,7 @@ _programs = st.builds(
         tuple(p if i == p.key.split("_")[1] else Plan(p.trigger, p.context, p.body,
                                                       key=f"plan_{i}")
               for i, p in enumerate(plans))),
-    st.lists(_literals(_ground_terms(), annotated=True), max_size=3),
+    st.lists(st.builds(Literal, _literals(_ground_terms()), _annotations), max_size=3),
     st.lists(_literals(_ground_terms()), max_size=2),
     st.lists(_plans(0), max_size=4),
 )

@@ -51,15 +51,19 @@ from bdi_pentest.terms import (
     StringLit,
     Variable,
     deeper_than,
-    substitute_literal,
+    substitute,
     unify,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def term(functor, *args):
+    return Compound(functor, tuple(args)) if args else Atom(functor)
+
+
 def lit(functor, *args):
-    return Literal(Compound(functor, tuple(args)) if args else Atom(functor))
+    return Literal(term(functor, *args))
 
 
 class ScriptedEnv:
@@ -99,13 +103,13 @@ def test_init_requires_ground_goal():
     from bdi_pentest.parser import AgentProgram
     with pytest.raises(NoInitialGoal):
         init_agent(AgentProgram(
-            goals=(Literal(Compound("privilege", (Variable("X"),))),)))
+            goals=(Compound("privilege", (Variable("X"),)),)))
 
 
 def test_init_queues_goal_events_and_annotates_beliefs():
     state = init_agent(parse_program("port(80).\n!g.\n"))
-    assert state.tables.goal == lit("g")
-    assert [e.trigger for e in state.events] == [TriggerEvent("+", ACHIEVE, lit("g"))]
+    assert state.tables.goal == term("g")
+    assert [e.trigger for e in state.events] == [TriggerEvent("+", ACHIEVE, term("g"))]
     stored = next(iter(state.beliefs))
     assert Compound("source", (Atom("self"),)) in stored.annotations
 
@@ -132,9 +136,9 @@ def test_triggers_bucket_plans_by_signature_in_selection_order():
 
 def test_select_event_is_fifo():
     state = init_agent(parse_program("!g."))
-    state.events.append(Event(TriggerEvent("+", ACHIEVE, lit("h"))))
-    assert select_event(state).trigger.literal == lit("g")
-    assert select_event(state).trigger.literal == lit("h")
+    state.events.append(Event(TriggerEvent("+", ACHIEVE, term("h"))))
+    assert select_event(state).trigger.term == term("g")
+    assert select_event(state).trigger.term == term("h")
     assert select_event(state) is None
 
 
@@ -145,7 +149,7 @@ def test_relevant_plans_match_op_kind_and_unify():
         "@p2\n+!get(port) : true <- act(port).\n"
         "@p3\n-get(port) : true.\n"
         "@p4\n+get(port) : true.\n"))
-    out = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("get", Atom("port"))))
+    out = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, term("get", Atom("port"))))
     assert [(p.label, u) for p, u in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
 
 
@@ -154,7 +158,7 @@ def test_applicable_plans_one_desire_per_context_solution():
     # selection commits to the plan with the first of them.
     state = init_agent(parse_program("!g.\n@p\n+!g : port(P) <- act(P).\n"))
     beliefs = BeliefBase([lit("port", Number(80)), lit("port", Number(22))])
-    relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("g")))
+    relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, term("g")))
     [(plan, theta)] = relevant
     assert [u["P"] for u in solve(plan.context, beliefs, theta)] == [Number(80), Number(22)]
     assert select_intention(relevant, beliefs, set()) == (plan, {"P": Number(80)})
@@ -176,7 +180,7 @@ def test_select_intention_priority_then_order_then_attempted():
         "@high\n+!g : true <- bof_attack(t, v, remote).\n"
         "@high2\n+!g : true <- bof_attack(t, v, remote).\n"
         "@blocked\n+!g : missing <- probe_os(t).\n"))
-    relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, lit("g")))
+    relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, term("g")))
     beliefs = BeliefBase()
 
     def pick(attempted):
@@ -309,9 +313,9 @@ def test_achieve_goal_suspends_and_posts_event():
     env = ScriptedEnv()
     state = _single_intention_state("!g.\n+!g : true <- !sub; act_a.\n+!sub : true.", env)
     assert state.active is None
-    assert state.events[-1].trigger == TriggerEvent("+", ACHIEVE, lit("sub"))
+    assert state.events[-1].trigger == TriggerEvent("+", ACHIEVE, term("sub"))
     # The waiting intention is the parent of its subgoal event.
-    assert [f.event.trigger.literal for f in state.events[-1].parent] == [lit("g")]
+    assert [f.event.trigger.term for f in state.events[-1].parent] == [term("g")]
 
 
 def test_test_goal_binds_first_solution():
@@ -331,7 +335,7 @@ def test_test_goal_without_solution_fails_plan():
 def test_add_and_remove_belief_steps():
     result, state, env = run("!g.\n+!g : true <- +g; -missing.")
     assert result == GOAL_ACHIEVED
-    assert lit("g") in state.beliefs
+    assert term("g") in state.beliefs
 
 
 def test_failed_action_still_folds_percepts():
@@ -339,7 +343,7 @@ def test_failed_action_still_folds_percepts():
                       percepts={"act_a": [lit("evidence")]})
     result, state, env = run("!g.\n+!g : true <- act_a.", env)
     assert result == EXHAUSTED
-    assert lit("evidence") in state.beliefs
+    assert term("evidence") in state.beliefs
 
 
 def test_belief_addition_triggers_matching_plan():
@@ -369,7 +373,7 @@ def test_exhausted_alternatives_record_failed_goal():
     result, state, env = run(
         "!g.\n@a\n+!g : true <- act_a.\n@b\n+!g : true <- act_b.\n", env)
     assert result == EXHAUSTED
-    assert lit("attack_failed", Atom("g")) in state.beliefs
+    assert term("attack_failed", Atom("g")) in state.beliefs
     assert env.calls == ["act_a", "act_b"]
 
 
@@ -380,8 +384,8 @@ def test_subgoal_failure_propagates_to_parent():
         "@mission\n+!g : true <- !sub; +g.\n"
         "@s\n+!sub : true <- act_a.\n", env)
     assert result == EXHAUSTED
-    assert lit("attack_failed", Atom("sub")) in state.beliefs
-    assert lit("attack_failed", Atom("g")) in state.beliefs
+    assert term("attack_failed", Atom("sub")) in state.beliefs
+    assert term("attack_failed", Atom("g")) in state.beliefs
 
 
 @pytest.mark.parametrize("act_a_succeeds", [False, True])
@@ -483,7 +487,7 @@ def _scan_relevant(library, event):
     out = []
     for plan in library:
         if (plan.trigger.op, plan.trigger.kind) == (event.op, event.kind):
-            u = unify(plan.trigger.literal.term, event.literal.term)
+            u = unify(plan.trigger.term, event.term)
             if u is not None:
                 out.append((plan, u, plan_priority(plan)))
     return out
@@ -512,13 +516,13 @@ _args = st.lists(st.sampled_from([
     Atom("a"), Atom("b"), Variable("X"), Variable("Y"), Number(0), Number(1), Number(1.0),
     StringLit("a"), Compound("f", (Atom("a"),)), Compound("f", (Variable("X"),)),
 ]), max_size=2)
-_lits = st.builds(lambda n, a: lit(n, *a), st.sampled_from(["p", "q"]), _args)
-_triggers = st.builds(lambda form, l: TriggerEvent(*form, l),
-                      st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]), _lits)
+_terms = st.builds(lambda n, a: term(n, *a), st.sampled_from(["p", "q"]), _args)
+_triggers = st.builds(lambda form, t: TriggerEvent(*form, t),
+                      st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]), _terms)
 
 
 def _achieve(*args):
-    return TriggerEvent("+", ACHIEVE, lit("p", *args))
+    return TriggerEvent("+", ACHIEVE, term("p", *args))
 
 
 @settings(max_examples=200, deadline=None)
@@ -532,10 +536,8 @@ def _achieve(*args):
 @example([_achieve(Variable("X"))], _achieve(Number(1)))
 def test_trigger_table_matches_library_scan(triggers, event):
     library = tuple(Plan(t, TrueConst(), (), key=f"plan_{i}") for i, t in enumerate(triggers))
-    state = init_agent(AgentProgram(goals=(lit("g"),), plans=library))
-    events = [event,
-              TriggerEvent(event.op, event.kind, event.literal.with_annotations({Atom("a")})),
-              TriggerEvent(event.op, event.kind, Literal(_float_twin(event.literal.term)))]
+    state = init_agent(AgentProgram(goals=(term("g"),), plans=library))
+    events = [event, TriggerEvent(event.op, event.kind, _float_twin(event.term))]
     # Twice over: the first call of each may fill the memo, the second reads
     # it. Compared as repr, since Number(1) == Number(1.0) though they print
     # differently.
@@ -551,10 +553,10 @@ def test_runs_of_one_program_share_its_tables_but_not_its_beliefs():
     a, b = init_agent(program), init_agent(program)
     assert a.tables is b.tables
     a.beliefs.add(lit("g"))
-    a.beliefs.remove(lit("port", Number(80)))
+    a.beliefs.remove(term("port", Number(80)))
     assert goal_achieved(a) and not goal_achieved(b)
-    assert lit("port", Number(80)) in b.beliefs
-    assert lit("port", Number(80)) in init_agent(program).beliefs
+    assert term("port", Number(80)) in b.beliefs
+    assert term("port", Number(80)) in init_agent(program).beliefs
 
 
 def test_program_and_its_tables_are_collected_after_del():
@@ -586,8 +588,8 @@ def test_memoized_relevant_sets_match_fresh_ones_after_a_seed_sweep():
     memo = init_agent(program).tables.relevant
     fresh = init_agent(parse_program(source)).tables
     assert memo
-    for (op, kind, term), relevant in memo.items():
-        assert repr(relevant) == repr(relevant_plans(fresh, TriggerEvent(op, kind, Literal(term))))
+    for (op, kind, t), relevant in memo.items():
+        assert repr(relevant) == repr(relevant_plans(fresh, TriggerEvent(op, kind, t)))
 
 
 # --- property: lazy selection picks what the eager desire set picks --------
@@ -598,7 +600,7 @@ def _eager_solve(formula, beliefs, theta):
     if isinstance(formula, TrueConst):
         return [theta]
     if isinstance(formula, LiteralCond):
-        pattern = substitute_literal(theta, formula.literal)
+        pattern = substitute(theta, formula.term)
         return [dict(theta, **u) for u in beliefs.query(pattern)]
     if isinstance(formula, And):
         return [s2 for s1 in _eager_solve(formula.left, beliefs, theta)
@@ -658,7 +660,7 @@ def test_lazy_selection_matches_eager_desire_set(plans, facts, event_arg, data):
     program = parse_program(source)
     state = init_agent(program)
     beliefs = BeliefBase(parse_program(" ".join(f + "." for f in facts)).beliefs)
-    event = TriggerEvent("+", ACHIEVE, lit("g", Atom(event_arg)))
+    event = TriggerEvent("+", ACHIEVE, term("g", Atom(event_arg)))
     attempted = data.draw(st.sets(st.sampled_from([p.key for p in program.plans])))
     expected = _eager_select_intention(
         _eager_applicable_plans(_scan_relevant(program.plans, event), beliefs), attempted)

@@ -11,10 +11,9 @@ from bdi_pentest.terms import (
     StringLit,
     Variable,
     deeper_than,
-    is_ground,
     literal_to_str,
+    signature,
     substitute,
-    substitute_literal,
     term_to_str,
     unify,
     variables_of,
@@ -65,6 +64,11 @@ def test_substitute_examples():
 def test_literal_rejects_bare_variable():
     with pytest.raises(ValueError):
         Literal(Variable("X"))
+
+
+def test_signature_is_functor_and_arity():
+    assert signature(Atom("done")) == ("done", 0)
+    assert signature(comp("port", Variable("P"))) == ("port", 1)
 
 
 def test_literal_to_str():
@@ -122,16 +126,13 @@ def test_mgu_is_idempotent(a, b):
 
 @given(_terms(), _terms())
 def test_ground_terms_have_no_variables(t, bound):
-    # Groundness survives pickling, and a ground term or literal is its own
-    # image under any substitution.
+    # Groundness survives pickling, and a ground term is its own image
+    # under any substitution.
     s = {"X": bound}
     for term in (t, pickle.loads(pickle.dumps(t))):
-        assert is_ground(term) == (not variables_of(t))
-        if is_ground(term):
+        assert term.ground == (not variables_of(t))
+        if term.ground:
             assert substitute(s, term) is term
-            if isinstance(term, (Atom, Compound)):
-                l = Literal(term)
-                assert substitute_literal(s, l) is l
 
 
 def _depth(t):
