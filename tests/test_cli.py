@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bdi_pentest import cli
 from bdi_pentest.cli import main
+from bdi_pentest.terms import MAX_SIZE
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -211,21 +212,30 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, 
     assert named in captured.err
 
 
-@pytest.mark.parametrize("agent_text", [
+DOUBLING_BELIEF = "c(a). !g. +!g : c(X) & not c(f(X, X)) <- +c(f(X, X)); !g.\n"
+
+
+@pytest.mark.parametrize("agent_text,max_cycles", [
     # A number too large for a float, compared exactly.
-    "!g.\n+!g : 1" + "0" * 400 + " < 1 <- report.\n",
+    ("!g.\n+!g : 1" + "0" * 400 + " < 1 <- report.\n", 1000),
     # Terms that grow one level per cycle fail the step that would make
     # them deeper than the run-time cap, and the run ends.
-    "c(a). !g. +!g : c(X) & not c(f(X)) <- +c(f(X)); !g.\n",
-    "!g(a). +!g(X) : true <- !g(f(X)).\n",
-], ids=["huge-integer", "growing-belief", "growing-goal"])
-def test_run_ends_with_exit_one(tmp_path, capsys, agent_text):
+    ("c(a). !g. +!g : c(X) & not c(f(X)) <- +c(f(X)); !g.\n", 1000),
+    ("!g(a). +!g(X) : true <- !g(f(X)).\n", 1000),
+    # A belief that doubles in size each time round fails the step that
+    # would make it larger than the size cap, and the run ends by cycle 36.
+    (DOUBLING_BELIEF, 38),
+], ids=["huge-integer", "growing-belief", "growing-goal", "doubling-belief"])
+def test_run_ends_with_exit_one(tmp_path, capsys, agent_text, max_cycles):
     agent = tmp_path / "agent.asl"
     agent.write_text(agent_text)
-    code = run_cli("--scenario", SCENARIO_FILE, "--agent", str(agent), "--max-cycles", "1000")
+    code = run_cli("--scenario", SCENARIO_FILE, "--agent", str(agent),
+                   "--max-cycles", str(max_cycles))
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     assert "result: exhausted" in captured.out
+    # A term within the size cap prints in a few characters per node.
+    assert max(map(len, captured.out.splitlines())) < 4 * MAX_SIZE
 
 
 # --- property: no input escapes as a traceback ------------------------------
@@ -241,7 +251,7 @@ _SCENARIO_SEEDS = [(SCENARIOS / f).read_text()
 _SCENARIO_SEEDS += [DEEP_YAML_LIST, DEEP_YAML_MAPPING]
 _AGENT_SEEDS = [(SCENARIOS / f).read_text()
                 for f in ("single_target_agent.asl", "campaign_agent.asl")]
-_AGENT_SEEDS += [HUGE_INTEGER, GROWING_BELIEF, GROWING_GOAL]
+_AGENT_SEEDS += [HUGE_INTEGER, GROWING_BELIEF, GROWING_GOAL, DOUBLING_BELIEF]
 
 # Characters that mean something to YAML or to the plan language, and a few
 # that mean nothing to either.

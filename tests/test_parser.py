@@ -26,6 +26,7 @@ from bdi_pentest.parser import (
     parse_program,
 )
 from bdi_pentest.terms import (
+    MAX_SIZE,
     Atom,
     Compound,
     Literal,
@@ -98,6 +99,9 @@ def test_trigger_forms_are_bijective():
     ("!g.\n+!g : a(X) | b <- probe_os(X).", 2, 1, "variable X is not bound"),
     ("+!g : X != a <- probe_os(X).", 1, 1, "variable X is not bound"),
     ("+!g : true <- .print(X); probe_os(X).", 1, 1, "variable X is not bound"),
+    # Annotations are stored, so they are held to the same rules as terms.
+    ("+!g : true <- +seen(a)[source(X)].", 1, 1, "variable X is not bound"),
+    ("c(a)[source(X)].", 1, 1, "initial beliefs must be ground"),
     # Lexical errors, reported where the wrong text starts: `1e` is the number
     # 1 and the name e; numbers are ASCII digits; a string that never closes
     # is reported at its opening quote. Columns count `\r` as a character.
@@ -117,6 +121,10 @@ def test_trigger_forms_are_bijective():
     ("p(" * 65 + "a" + ")" * 65 + ".", 1, 2 + 64 * 2, "nested more than"),
     # Each `a = p(` opens two levels: the comparison and the argument list.
     ("p(" + "a = p(" * 32 + "a" + ")" * 33 + ".", 1, 3 + 31 * 6 + 5, "nested more than"),
+    # A term of one node more than the cap, reported at its first token.
+    ("p(" + "a, " * (MAX_SIZE - 1) + "a).", 1, 1, f"term has more than {MAX_SIZE} nodes"),
+    ("+!g : true <- +q(p(" + "a, " * (MAX_SIZE - 2) + "a)).", 1, 16, "more than"),
+    ("q(p(" + "a, " * (MAX_SIZE - 3) + "a) = b).", 1, 3, "more than"),
 ])
 def test_forms_the_engine_cannot_run_are_rejected(src, line, col, message):
     with pytest.raises(PlanSyntaxError, match=re.escape(message)) as e:

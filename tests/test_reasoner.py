@@ -29,7 +29,6 @@ from bdi_pentest.reasoner import (
     RUNNING,
     Event,
     NoInitialGoal,
-    _MAX_TERM_DEPTH,
     _compare,
     execute_step,
     goal_achieved,
@@ -44,13 +43,14 @@ from bdi_pentest.reasoner import (
 from bdi_pentest.runner import run_batch
 from bdi_pentest.targets import load_scenario
 from bdi_pentest.terms import (
+    MAX_DEPTH,
+    MAX_SIZE,
     Atom,
     Compound,
     Literal,
     Number,
     StringLit,
     Variable,
-    deeper_than,
     substitute,
     unify,
 )
@@ -248,6 +248,7 @@ def _nest(template, depth, leaf):
 # The deepest nesting the parser accepts, of each kind. A term whose every
 # level is an infix `=` is about twice as deep as its count of levels.
 _DEEP_TERM = _nest("p({} = b)", _MAX_DEPTH - 1, "a")
+_LARGEST = "p(" + ", ".join(["a"] * (MAX_SIZE - 1)) + ")"  # MAX_SIZE nodes
 _DEEPEST = {
     "not": "a.\n!g.\n+!g : " + "not " * _MAX_DEPTH + "a <- +g.",
     "and": "a.\n!g.\n+!g : " + "a & " * _MAX_DEPTH + "a <- +g.",
@@ -261,6 +262,11 @@ _DEEPEST = {
                           "+!g : p(X) <- +seen(X); +g.",
     "term-with-variable": f"{_nest('p({})', _MAX_DEPTH, 'a')}.\n!g.\n"
                           f"+!g : {_nest('p({})', _MAX_DEPTH, 'X')} <- +seen(X); +g.",
+    # MAX_SIZE nodes: the largest term the parser accepts, and a run-time
+    # belief as large built from its argument.
+    "largest-term": f"{_LARGEST}.\n!g.\n+!g : {_LARGEST} <- +g.",
+    "largest-bound-term": f"q({_LARGEST.replace('(a, ', '(', 1)}).\n!g.\n"
+                          "+!g : q(X) <- +seen(X); +g.",
 }
 
 
@@ -272,20 +278,39 @@ def test_deepest_nesting_the_parser_accepts_runs(source):
     assert result == GOAL_ACHIEVED
 
 
-@pytest.mark.parametrize("source,functor", [
-    ("!g(a). +!g(X) : true <- !g(f(X)).", "g"),
-    ("!g(a). +!g(X) : true <- act(f(f(X))); !g(f(X)).", "f"),
-    ("!g(a). +!g(X) : true <- +b(f(X)); !g(f(X)).", "b"),
-    ("c(a). !g. +!g : c(X) & not c(f(X)) <- +c(f(X)); !g.", "c"),
-], ids=["subgoal", "action", "belief", "context"])
-def test_terms_built_at_run_time_stay_within_the_cap(source, functor):
-    # Each agent nests its goal one level deeper per plan; the first step
-    # that would build a term past the cap fails, every plan above it
-    # fails in turn, and no belief, failed-goal markers included, is deeper.
-    result, state, env = run(source, cap=1000)
+def _chain(links):
+    """A context whose `=` links each double the term bound before."""
+    return [f"X{i} = f(X{i - 1}, X{i - 1})" for i in range(1, links + 1)]
+
+
+_DEEPER = f"is nested more than {MAX_DEPTH} levels deep"
+_LARGER = f"has more than {MAX_SIZE} nodes"
+
+
+@pytest.mark.parametrize("source,cycles,logged", [
+    ("!g(a). +!g(X) : true <- !g(f(X)).", 1000, f"term g(...) {_DEEPER}"),
+    ("!g(a). +!g(X) : true <- act(f(f(X))); !g(f(X)).", 1000, f"term f(...) {_DEEPER}"),
+    ("!g(a). +!g(X) : true <- +b(f(X)); !g(f(X)).", 1000, f"term b(...) {_DEEPER}"),
+    ("!g(a). +!g(X) : true <- +b[s(f(f(X)))]; !g(f(X)).", 1000, f"term s(...) {_DEEPER}"),
+    ("c(a). !g. +!g : c(X) & not c(f(X)) <- +c(f(X)); !g.", 1000, f"term c(...) {_DEEPER}"),
+    # A term that doubles in size each cycle: the run is over by cycle 36,
+    # and the step that would build it past the size cap fails.
+    ("c(a). !g. +!g : c(X) & not c(f(X, X)) <- +c(f(X, X)); !g.", 38, f"term c(...) {_LARGER}"),
+    # An `=` whose side or binding would be over the size cap does not hold.
+    ("!g. +!g : " + " & ".join(["X0 = a", *_chain(14)]) + " <- .print(X14); +g.", 10,
+     "no applicable plan for g"),
+    ("!g. +!g : " + " & ".join([*reversed(_chain(14)), "X0 = a"]) + " <- .print(X14); +g.", 10,
+     "no applicable plan for g"),
+], ids=["subgoal", "action", "belief", "annotation", "context", "doubling-belief",
+        "context-chain", "context-chain-reversed"])
+def test_terms_built_at_run_time_stay_within_the_cap(source, cycles, logged):
+    # The first step that would build a term past a cap fails, every plan
+    # above it fails in turn, and no belief, failed-goal markers included, is
+    # over a cap. Each row ends well within its cycles.
+    result, state, env = run(source, cap=cycles)
     assert result == EXHAUSTED
-    assert f"term {functor}(...) is nested more than {_MAX_TERM_DEPTH} levels deep" in env.trace
-    assert not any(deeper_than(b.term, _MAX_TERM_DEPTH) for b in state.beliefs)
+    assert logged in env.trace
+    assert all(b.term.depth <= MAX_DEPTH and b.term.size <= MAX_SIZE for b in state.beliefs)
 
 
 def test_goal_achieved_queries_beliefs():
@@ -333,9 +358,11 @@ def test_test_goal_without_solution_fails_plan():
 
 
 def test_add_and_remove_belief_steps():
-    result, state, env = run("!g.\n+!g : true <- +g; -missing.")
+    # A +b step's annotations are substituted, as its term is.
+    result, state, env = run("c(a).\n!g.\n+!g : c(X) <- +seen(X)[source(X)]; +g; -missing.")
     assert result == GOAL_ACHIEVED
     assert term("g") in state.beliefs
+    assert "seen(a)[source(a)]" in state.beliefs.dump_lines()
 
 
 def test_failed_action_still_folds_percepts():

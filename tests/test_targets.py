@@ -113,6 +113,9 @@ def test_threshold_overrides():
      "    credentials: [{service: ssh, secret: x, user: u}]", "targets[0].credentials[0].user"),
     ("targets:\n  - name: t\n    os: linux\n    staff: [{email: a@b, role: it}]",
      "targets[0].staff[0].role"),
+    # A secret is text or an integer; nothing else is turned into text.
+    *((f"targets:\n  - name: t\n    os: linux\n    credentials: [{{service: ssh, secret: {v}}}]",
+       "targets[0].credentials[0].secret") for v in ("null", "true", "[a, b]", "1.50")),
 ])
 def test_config_errors_carry_field_path(text, path_fragment):
     with pytest.raises(ConfigError) as e:

@@ -10,7 +10,6 @@ from bdi_pentest.terms import (
     Number,
     StringLit,
     Variable,
-    deeper_than,
     literal_to_str,
     signature,
     substitute,
@@ -135,17 +134,15 @@ def test_ground_terms_have_no_variables(t, bound):
             assert substitute(s, term) is term
 
 
-def _depth(t):
-    return 1 + max(map(_depth, t.args)) if isinstance(t, Compound) else 0
+def _tree_walk(t):
+    """(depth, size) of t, counted by walking it as a tree."""
+    if not isinstance(t, Compound):
+        return 0, 1
+    walked = [_tree_walk(a) for a in t.args]
+    return 1 + max(d for d, _ in walked), 1 + sum(n for _, n in walked)
 
 
-@given(_terms(), st.integers(0, 4))
-def test_deeper_than_matches_depth(t, levels):
-    assert deeper_than(t, levels) == (_depth(t) > levels)
-
-
-def test_deeper_than_stops_at_its_levels():
-    t = Atom("a")
-    for _ in range(5000):  # deeper than a recursive walk could go
-        t = comp("f", t)
-    assert deeper_than(t, 128) and not deeper_than(comp("f", Atom("a")), 1)
+@given(_terms(max_leaves=12))
+def test_kept_depth_and_size_match_a_tree_walk(t):
+    for term in (t, pickle.loads(pickle.dumps(t))):
+        assert (term.depth, term.size) == _tree_walk(t)
