@@ -129,6 +129,12 @@ def test_repeat_exits_zero_whatever_the_ratio(capsys):
 ONE_TARGET = "targets:\n  - {name: t, os: linux}\n"
 
 
+NON_GROUND_GOAL = "!g. !h(X). +!g : true <- .print(ok).\n"
+UNSAFE_EQUALS = "!g. +!g : X = Y <- !h(X).\n"
+CHAINED_EQUALS = ("!g. +!g : f(" + ", ".join(f"X{i}" for i in range(1, 31)) + ") = f("
+                  + ", ".join(f"g(X{i}, X{i})" for i in range(2, 31)) + ", a) <- +g.\n")
+
+
 def _no_batch(*args, **kwargs):
     raise AssertionError("run_batch reached with invalid input")
 
@@ -179,6 +185,11 @@ def _no_batch(*args, **kwargs):
      "line 2, column 34"),
     ([], None, "!g. +!g : X = 1" + "0" * 5000 + " <- true.\n", "1:15"),
     ([], "name: \x01\n", None, "invalid YAML"),
+    # Agents that would post a non-ground event, and an `=` whose sides
+    # chain 30 variables, are refused at their statement.
+    ([], None, NON_GROUND_GOAL, "1:5: initial goals must be ground"),
+    ([], None, UNSAFE_EQUALS, "1:5: each side of '='"),
+    ([], None, CHAINED_EQUALS, "1:5: each side of '='"),
 ], ids=["repeat-zero", "repeat-negative", "no-goal", "yaml-seed-bool",
         "yaml-max-cycles-bool", "seed-negative", "max-cycles-zero", "workers-zero",
         "workers-above-cpu-count", "report-unwritable", "trace-unwritable",
@@ -188,7 +199,7 @@ def _no_batch(*args, **kwargs):
         "workers-without-repeat", "nested-not", "nested-term", "long-conjunction",
         "deep-yaml-list", "deep-yaml-mapping", "yaml-alias-chain", "yaml-syntax-error",
         "yaml-huge-integer", "yaml-hex-integer", "yaml-binary-port", "agent-huge-integer",
-        "yaml-control-character"])
+        "yaml-control-character", "non-ground-goal", "unsafe-equals", "chained-equals"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.
@@ -251,7 +262,8 @@ _SCENARIO_SEEDS = [(SCENARIOS / f).read_text()
 _SCENARIO_SEEDS += [DEEP_YAML_LIST, DEEP_YAML_MAPPING]
 _AGENT_SEEDS = [(SCENARIOS / f).read_text()
                 for f in ("single_target_agent.asl", "campaign_agent.asl")]
-_AGENT_SEEDS += [HUGE_INTEGER, GROWING_BELIEF, GROWING_GOAL, DOUBLING_BELIEF]
+_AGENT_SEEDS += [HUGE_INTEGER, GROWING_BELIEF, GROWING_GOAL, DOUBLING_BELIEF,
+                 NON_GROUND_GOAL, UNSAFE_EQUALS]
 
 # Characters that mean something to YAML or to the plan language, and a few
 # that mean nothing to either.

@@ -26,7 +26,7 @@ CASES = [
     ("hardened.yaml", "single_target_agent.asl", range(50),
      "b3b32a8196d4d4a490e5ff3763a352ac0357cba859eeb6580eb2eef8835675e9"),
     ("campaign.yaml", "campaign_agent.asl", range(200),
-     "46555d1055b6e14dc1c3c05cab9e86f2d843bbbe34e6fdbd07032889bb3ce687"),
+     "dacd94d2d9d363d9ceabb0c60bf718e9f0f6de960a6472ce3fb004c1531b8261"),
 ]
 
 SIMULATIONS_DIGEST = "d4a2e93074c79c1ff969b0fef827143cebb5ec02ef4ed03be926e4cad634c172"

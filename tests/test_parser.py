@@ -98,10 +98,30 @@ def test_trigger_forms_are_bijective():
     ("+!g : not missing(X) <- probe_os(X).", 1, 1, "variable X is not bound"),
     ("!g.\n+!g : a(X) | b <- probe_os(X).", 2, 1, "variable X is not bound"),
     ("+!g : X != a <- probe_os(X).", 1, 1, "variable X is not bound"),
+    ("+!g : X \\= a <- probe_os(X).", 1, 1, "variable X is not bound"),
     ("+!g : true <- .print(X); probe_os(X).", 1, 1, "variable X is not bound"),
     # Annotations are stored, so they are held to the same rules as terms.
     ("+!g : true <- +seen(a)[source(X)].", 1, 1, "variable X is not bound"),
     ("c(a)[source(X)].", 1, 1, "initial beliefs must be ground"),
+    # Initial goals are events, so they must be ground too.
+    ("!privilege(X).", 1, 1, "initial goals must be ground"),
+    ("!g.\n!h(X).\n+!g : true <- .print(ok).", 2, 1, "initial goals must be ground"),
+    # `=` and `\=` need every variable of one side bound before them, in
+    # the order the context is solved, under `not` too; `|` binds only what
+    # both its branches bind.
+    ("+!g : X = Y <- act(X).", 1, 1, "each side of '=' has a variable not bound"),
+    ("!g.\n+!g : X = Y <- !h(X).", 2, 1, "each side of '='"),
+    ("+!g : X \\= f(Y) <- act.", 1, 1, "each side of '\\='"),
+    ("+!g : not (f(X) = Y) <- act.", 1, 1, "each side of '='"),
+    ("+!g : (a(X) | b) & X = f(Y) <- act(Y).", 1, 1, "each side of '='"),
+    ("+!g(X) : Y = f(Z) & a(Z) <- act(X).", 1, 1, "each side of '='"),
+    # A chain of `=` in the reverse of the order that binds it.
+    ("!g. +!g : " + " & ".join([*(f"X{i} = f(X{i - 1}, X{i - 1})" for i in range(14, 0, -1)),
+                                "X0 = a"]) + " <- .print(X14); +g.", 1, 5, "each side of '='"),
+    # One `=` whose sides chain 30 variables, refused before it can run.
+    ("!g. +!g : f(" + ", ".join(f"X{i}" for i in range(1, 31)) + ") = f("
+     + ", ".join(f"g(X{i}, X{i})" for i in range(2, 31)) + ", a) <- +g.", 1, 5,
+     "each side of '='"),
     # Lexical errors, reported where the wrong text starts: `1e` is the number
     # 1 and the name e; numbers are ASCII digits; a string that never closes
     # is reported at its opening quote. Columns count `\r` as a character.
@@ -170,9 +190,35 @@ def test_unbound_body_variable_rejected():
 
 
 @pytest.mark.parametrize("context", [
-    "a(X) | b(X)", "X = Y", "not b(X) & a(X)", "(a(X) | b(X, Y)) & X > 1"])
+    "a(X) | b(X)", "X = a", "a(Y) & X = f(Y)", "a(Y) & f(X, Z) = f(Y, Y)",
+    "not b(X) & a(X)", "(a(X) | b(X, Y)) & X > 1", "a(X) & not (X = f(Y))",
+    "a(X) & X \\= Y"])
 def test_context_binding_forms_accepted(context):
     parse_program(f"+!g : {context} <- act(X).")
+
+
+# Context parts that are safe whatever came before them in a plan
+# triggered by +!g(T): none binds U, V or W.
+_SAFE_PARTS = ["a(X)", "b(X, Y)", "X = a", "Y = f(T)", "X \\= b", "not c(Z)",
+               "(a(X) | b(X, Z))", "not (Z = g(T))", "true"]
+_parts = st.lists(st.sampled_from(_SAFE_PARTS), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parts, _parts, st.sampled_from(["=", "\\="]),
+       st.sampled_from(["U", "f(U, X)", "g(T, a, U)"]), st.sampled_from(["V", "h(V)", "W"]),
+       st.booleans(), st.booleans(), st.integers(0, 3), st.integers(0, 3), st.booleans())
+def test_comparison_with_no_side_bound_is_refused_at_its_plan(
+        before, after, op, lhs, rhs, swapped, negated, lines, indent, labelled):
+    unsafe = f"{rhs} {op} {lhs}" if swapped else f"{lhs} {op} {rhs}"
+    if negated:
+        unsafe = f"not ({unsafe})"
+    context = " & ".join([*before, unsafe, *after])
+    src = ("p(a).\n" * lines + " " * indent + ("@l\n" if labelled else "")
+           + f"+!g(T) : {context} <- act(T).\n")
+    with pytest.raises(PlanSyntaxError, match=re.escape(f"each side of '{op}'")) as e:
+        parse_program(src)
+    assert (e.value.line, e.value.col) == (lines + 1, indent + 1)
 
 
 def test_test_goal_binds_later_steps():
@@ -335,8 +381,12 @@ def _contexts():
     leaves = st.one_of(
         st.just(TrueConst()),
         _literals(_terms()).map(LiteralCond),
-        st.tuples(_terms(), st.sampled_from(["=", "\\=", "==", "!=", "<", "<=", ">", ">="]),
+        st.tuples(_terms(), st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
                   _terms()).map(lambda t: Comparison(*t)),
+        # `=` and `\=` need one side bound before them: here a ground one,
+        # on either side.
+        st.tuples(_terms(), st.sampled_from(["=", "\\="]), _ground_terms(), st.booleans())
+        .map(lambda t: Comparison(*t[:3]) if t[3] else Comparison(t[2], t[1], t[0])),
     )
     return st.recursive(
         leaves,

@@ -99,13 +99,6 @@ def test_init_requires_a_goal():
         init_agent(parse_program("port(80)."))
 
 
-def test_init_requires_ground_goal():
-    from bdi_pentest.parser import AgentProgram
-    with pytest.raises(NoInitialGoal):
-        init_agent(AgentProgram(
-            goals=(Compound("privilege", (Variable("X"),)),)))
-
-
 def test_init_queues_goal_events_and_annotates_beliefs():
     state = init_agent(parse_program("port(80).\n!g.\n"))
     assert state.tables.goal == term("g")
@@ -223,6 +216,8 @@ def test_solve_disjunction_concatenates():
 
 def test_solve_comparisons():
     assert solve(ctx("X = ssh & service(X)"), BELIEFS, {}) == [{"X": Atom("ssh")}]
+    assert solve(ctx("f(ssh) = f(X) & service(X)"), BELIEFS, {}) == [{"X": Atom("ssh")}]
+    assert solve(ctx("f(ftp) \\= f(X)"), BELIEFS, {}) == []
     assert solve(ctx("ssh \\= ftp"), BELIEFS, {}) == [{}]
     assert solve(ctx("ssh == ssh & ssh != ftp & 2 < 10 & b >= a"), BELIEFS, {}) == [{}]
     assert solve(ctx("2 < abc"), BELIEFS, {}) == []  # no cross-type ordering
@@ -299,10 +294,8 @@ _LARGER = f"has more than {MAX_SIZE} nodes"
     # An `=` whose side or binding would be over the size cap does not hold.
     ("!g. +!g : " + " & ".join(["X0 = a", *_chain(14)]) + " <- .print(X14); +g.", 10,
      "no applicable plan for g"),
-    ("!g. +!g : " + " & ".join([*reversed(_chain(14)), "X0 = a"]) + " <- .print(X14); +g.", 10,
-     "no applicable plan for g"),
 ], ids=["subgoal", "action", "belief", "annotation", "context", "doubling-belief",
-        "context-chain", "context-chain-reversed"])
+        "context-chain"])
 def test_terms_built_at_run_time_stay_within_the_cap(source, cycles, logged):
     # The first step that would build a term past a cap fails, every plan
     # above it fails in turn, and no belief, failed-goal markers included, is
@@ -538,14 +531,17 @@ def _float_twin(t):
 # Arguments that meet every equality edge of the trigger table and of the
 # memo of relevant sets: Number(1) equals Number(1.0), StringLit("a") is not
 # Atom("a"), and f(a) is a ground compound where f(X) is not. An empty list
-# makes an arity-0 trigger.
-_args = st.lists(st.sampled_from([
-    Atom("a"), Atom("b"), Variable("X"), Variable("Y"), Number(0), Number(1), Number(1.0),
-    StringLit("a"), Compound("f", (Atom("a"),)), Compound("f", (Variable("X"),)),
-]), max_size=2)
-_terms = st.builds(lambda n, a: term(n, *a), st.sampled_from(["p", "q"]), _args)
-_triggers = st.builds(lambda form, t: TriggerEvent(*form, t),
-                      st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]), _terms)
+# makes an arity-0 trigger. Events are ground, as every event a run posts is.
+_GROUND_ARGS = [Atom("a"), Atom("b"), Number(0), Number(1), Number(1.0), StringLit("a"),
+                Compound("f", (Atom("a"),))]
+_ARGS = _GROUND_ARGS + [Variable("X"), Variable("Y"), Compound("f", (Variable("X"),))]
+
+
+def _trigger_events(args):
+    terms = st.builds(lambda n, a: term(n, *a), st.sampled_from(["p", "q"]),
+                      st.lists(st.sampled_from(args), max_size=2))
+    return st.builds(lambda form, t: TriggerEvent(*form, t),
+                     st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]), terms)
 
 
 def _achieve(*args):
@@ -553,12 +549,12 @@ def _achieve(*args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_triggers, max_size=12), _triggers)
+@given(st.lists(_trigger_events(_ARGS), max_size=12), _trigger_events(_GROUND_ARGS))
 @example([_achieve(Number(1.0)), _achieve(Number(0))], _achieve(Number(1)))
 @example([_achieve(StringLit("a")), _achieve(Atom("a"))], _achieve(StringLit("a")))
 @example([_achieve(Compound("f", (Atom("a"),))), _achieve(Compound("f", (Variable("X"),))),
           _achieve(Compound("f", (Atom("b"),)))], _achieve(Compound("f", (Atom("a"),))))
-@example([_achieve(Atom("a")), _achieve(Variable("X"))], _achieve(Compound("f", (Variable("X"),))))
+@example([_achieve(Atom("a")), _achieve(Variable("X"))], _achieve(Compound("f", (Atom("b"),))))
 @example([_achieve(), _achieve(Atom("a"))], _achieve())
 @example([_achieve(Variable("X"))], _achieve(Number(1)))
 def test_trigger_table_matches_library_scan(triggers, event):
@@ -696,3 +692,4 @@ def test_lazy_selection_matches_eager_desire_set(plans, facts, event_arg, data):
         choice = select_intention(relevant_plans(state.tables, event), beliefs, attempted)
         assert (choice and (choice[0].key, choice[1])) == \
             (expected and (expected[0].key, expected[1]))
+        assert choice is None or all(t.ground for t in choice[1].values())

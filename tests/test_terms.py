@@ -41,9 +41,15 @@ def test_unify_functor_and_arity_mismatch():
     assert unify(comp("a", Atom("x")), comp("a", Atom("x"), Atom("y"))) is None
 
 
-def test_unify_occurs_check():
+def test_unify_repeated_variable_binds_once():
     x = Variable("X")
-    assert unify(x, comp("f", x)) is None
+    assert unify(comp("f", x, x), comp("f", Atom("a"), Atom("a"))) == {"X": Atom("a")}
+    assert unify(comp("f", x, x), comp("f", Atom("a"), Atom("b"))) is None
+
+
+def test_unify_checks_a_bound_pattern_variable():
+    assert unify(Variable("X"), Atom("a"), {"X": Atom("a")}) == {"X": Atom("a")}
+    assert unify(Variable("X"), Atom("b"), {"X": Atom("a")}) is None
 
 
 def test_unify_extends_given_substitution():
@@ -101,26 +107,64 @@ def _terms(max_leaves=6):
     )
 
 
-@given(_terms(), _terms())
-def test_unification_symmetric_in_success(a, b):
-    ab = unify(a, b)
-    ba = unify(b, a)
-    assert (ab is None) == (ba is None)
+def _ground_terms():
+    return _terms().filter(lambda t: t.ground)
 
 
-@given(_terms(), _terms())
-def test_mgu_makes_terms_identical(a, b):
-    u = unify(a, b)
+def _apply(s, t):
+    """t under s, by a tree walk that follows binding chains."""
+    if isinstance(t, Variable):
+        return _apply(s, s[t.name]) if t.name in s else t
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_apply(s, a) for a in t.args))
+    return t
+
+
+def _reference_unify(a, b, s):
+    """Robinson's unification with the occurs check, written naively: the
+    most general unifier of a and b extending s, fully applied, or None."""
+    s = dict(s)
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        x, y = _apply(s, x), _apply(s, y)
+        if x == y:
+            continue
+        if isinstance(y, Variable):
+            x, y = y, x
+        if isinstance(x, Variable):
+            if x.name in variables_of(y):
+                return None
+            s[x.name] = y
+        elif (isinstance(x, Compound) and isinstance(y, Compound)
+              and (x.functor, len(x.args)) == (y.functor, len(y.args))):
+            pairs.extend(zip(x.args, y.args))
+        else:
+            return None
+    return {name: _apply(s, t) for name, t in s.items()}
+
+
+@st.composite
+def _matching_cases(draw):
+    """(pattern, ground term, ground substitution): the ground term is an
+    instance of the pattern that agrees with the substitution, or any."""
+    pattern = draw(_terms())
+    s = draw(st.dictionaries(_varnames, _ground_terms(), max_size=2))
+    if draw(st.booleans()):
+        return pattern, draw(_ground_terms()), s
+    instance = {name: s.get(name) or draw(_ground_terms())
+                for name in sorted(variables_of(pattern))}
+    return pattern, substitute(instance, pattern), s
+
+
+@given(_matching_cases())
+def test_unify_agrees_with_general_unification_on_a_ground_term(case):
+    pattern, ground, s = case
+    u = unify(pattern, ground, s)
+    assert u == _reference_unify(pattern, ground, s)
     if u is not None:
-        assert substitute(u, a) == substitute(u, b)
-
-
-@given(_terms(), _terms())
-def test_mgu_is_idempotent(a, b):
-    u = unify(a, b)
-    if u is not None:
-        applied = {k: substitute(u, v) for k, v in u.items()}
-        assert applied == u
+        assert all(t.ground for t in u.values())
+        assert substitute(u, pattern) == ground
 
 
 @given(_terms(), _terms())
