@@ -262,8 +262,9 @@ class TestRealizedRates:
     N = 100_000
 
     def _rate(self, action, *args, privilege=Privilege.NONE):
-        rng = RunRng(42)
-        hits = sum(attack(action, *args, privilege=privilege, draw=rng).success
+        # One scenario for all attempts: building one builds its tables.
+        scenario, rng = Scenario("s", (LAN_HOST,)), RunRng(42)
+        hits = sum(resolve_attack(scenario, LAN_HOST, action, args, privilege, rng).success
                    for _ in range(self.N))
         return hits / self.N
 

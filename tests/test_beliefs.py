@@ -245,3 +245,40 @@ def test_pickled_belief_base_answers_lookups_under_another_hash_seed():
     out = subprocess.run([sys.executable, "-c", _LOOKUP], env=env, input=data,
                          capture_output=True, check=True, timeout=60).stdout
     assert out.decode() == "True [None, None, None]\n"
+
+
+_CAMPAIGN = """
+import pickle, sys
+from pathlib import Path
+from bdi_pentest import load_scenario, parse_program
+from bdi_pentest.runner import emit_report, run_scenario
+SCENARIOS = Path(sys.argv[1])
+PROGRAM = parse_program((SCENARIOS / "campaign_agent.asl").read_text())
+
+def reports(scenario):
+    return "".join(emit_report(run_scenario(scenario, PROGRAM, seed)[0], "machine")
+                   for seed in range(20))
+"""
+_DUMP_SCENARIO = _CAMPAIGN + """
+scenario = load_scenario((SCENARIOS / "campaign.yaml").read_text())
+text = reports(scenario)  # every shared percept hashed before pickling
+sys.stdout.buffer.write(pickle.dumps((scenario, text)))
+"""
+_RUN_SCENARIO = _CAMPAIGN + """
+scenario, text = pickle.loads(sys.stdin.buffer.read())
+print(reports(scenario) == text)
+"""
+
+
+def test_pickled_scenario_runs_alike_under_another_hash_seed():
+    # A pool without fork pickles the scenario, with its tables of shared
+    # percepts and annotation sets, into workers salted differently.
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, "-c"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="1")
+    data = subprocess.run(argv + [_DUMP_SCENARIO, str(root / "scenarios")], env=env,
+                          capture_output=True, check=True, timeout=60).stdout
+    env["PYTHONHASHSEED"] = "2"
+    out = subprocess.run(argv + [_RUN_SCENARIO, str(root / "scenarios")], env=env,
+                         input=data, capture_output=True, check=True, timeout=60).stdout
+    assert out.decode() == "True\n"

@@ -1,8 +1,10 @@
+import pickle
 from pathlib import Path
 
 import pytest
 
 from bdi_pentest import load_scenario, parse_program
+from bdi_pentest.beliefs import BeliefBase
 from bdi_pentest.runner import (
     CYCLE_CAP,
     EXHAUSTED,
@@ -13,6 +15,7 @@ from bdi_pentest.runner import (
     run_batch,
     run_scenario,
 )
+from bdi_pentest.targets import FACETS
 
 FAILED_DRAW = 0.13183533644420975
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -123,3 +126,41 @@ def test_run_batch_matches_individual_runs():
         assert set(singles) == results
         for workers in (1, 2):
             assert run_batch(scenario, program, seeds, workers=workers) == singles
+
+
+# --- the scenario's tables -------------------------------------------------
+
+def _campaign():
+    return ((SCENARIOS / "campaign.yaml").read_text(),
+            parse_program((SCENARIOS / "campaign_agent.asl").read_text()))
+
+
+def test_runs_of_one_scenario_add_the_same_percept_objects(monkeypatch):
+    # Probe answers are built once, with the scenario, not once per run.
+    text, program = _campaign()
+    scenario = load_scenario(text)
+    functors = {f.functor for f in FACETS.values()}
+    added = []
+    add = BeliefBase.add
+    monkeypatch.setattr(BeliefBase, "add",
+                        lambda self, literal: added.append(literal) or add(self, literal))
+    runs = []
+    for _ in range(2):
+        added.clear()
+        run_scenario(scenario, program, seed=3)
+        runs.append([l for l in added if getattr(l.term, "functor", None) in functors])
+    first, second = runs
+    assert len({l.term.functor for l in first}) == len(functors)
+    assert len(first) == len(second)
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_a_run_scenario_still_equals_a_fresh_load():
+    text, program = _campaign()
+    scenario = load_scenario(text)
+    run_batch(scenario, program, range(20))
+    fresh = load_scenario(text)
+    assert scenario.tables is not fresh.tables
+    assert scenario == fresh and hash(scenario) == hash(fresh)
+    assert repr(scenario) == repr(fresh)
+    assert pickle.loads(pickle.dumps(scenario)) == scenario

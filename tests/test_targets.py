@@ -113,6 +113,16 @@ def test_threshold_overrides():
      "    credentials: [{service: ssh, secret: x, user: u}]", "targets[0].credentials[0].user"),
     ("targets:\n  - name: t\n    os: linux\n    staff: [{email: a@b, role: it}]",
      "targets[0].staff[0].role"),
+    # Anything listed twice where only the first would count.
+    ("targets:\n  - {name: t, os: linux, ports: [22, 22, 80]}", "targets[0].ports[1]"),
+    ("targets:\n  - name: t\n    os: linux\n    ports: [22]\n"
+     "    services: [{port: 22, name: ssh}, {port: 22, name: telnet}]",
+     "targets[0].services[1].port"),
+    ("targets:\n  - name: t\n    os: linux\n"
+     "    credentials: [{service: ssh, secret: a}, {service: ssh, secret: b}]",
+     "targets[0].credentials[1].service"),
+    ("targets:\n  - name: t\n    os: linux\n    staff: [{email: a@b}, {email: a@b}]",
+     "targets[0].staff[1].email"),
     # A secret is text or an integer; nothing else is turned into text.
     *((f"targets:\n  - name: t\n    os: linux\n    credentials: [{{service: ssh, secret: {v}}}]",
        "targets[0].credentials[0].secret") for v in ("null", "true", "[a, b]", "1.50")),
@@ -195,13 +205,21 @@ def test_rich_scenario_loads_to_literal():
     )
 
 
+def test_target_finds_the_first_of_a_name():
+    # load_scenario refuses a second target of one name; a Scenario built
+    # directly answers with the first, as a scan of `targets` would.
+    first, second = TargetSpec("a", "linux", subnet="x"), TargetSpec("a", "windows")
+    scenario = Scenario("s", (first, second, TargetSpec("b", "linux", subnet="x")))
+    assert scenario.target("a") is first
+    assert scenario.tables["a"].peers == (scenario.targets[2],)
+
+
 def test_subnet_peers(single_target_scenario):
-    spec = single_target_scenario.targets[0]
-    assert single_target_scenario.subnet_peers(spec) == ()
+    assert single_target_scenario.tables["target"].peers == ()
     two = Scenario("s", (TargetSpec("a", "linux", subnet="lan0"),
                          TargetSpec("b", "linux", subnet="lan0"),
                          TargetSpec("c", "linux", subnet="lan1")))
-    assert [t.name for t in two.subnet_peers(two.targets[0])] == ["b"]
+    assert [t.name for t in two.tables["a"].peers] == ["b"]
 
 
 class TestHandleProbe:
