@@ -2,8 +2,9 @@
 
 Each test checks one headline behavior at its stated tolerance and prints a
 single pass line (visible with `pytest -s` or in captured output). The two
-100,000-sample checks take about 56 seconds combined (criterion 4 about
-53 s) on one CPU of a shared 2-vCPU machine with Python 3.11.
+100,000-sample checks take about 28-35 seconds combined (criterion 4 about
+26-33 s, criterion 3 about 2 s) on one CPU of a shared 2-vCPU machine with
+Python 3.11.
 """
 
 import time

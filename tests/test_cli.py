@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -314,6 +315,20 @@ def test_existing_report_kept_when_the_run_fails(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run_cli("--scenario", SCENARIO_FILE, "--agent", AGENT, "--report", str(report))
     assert report.read_text() == "old report\n"
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace"])
+def test_output_that_fails_on_write_exits_two_with_one_error_line(tmp_path, capsys,
+                                                                  monkeypatch, flag):
+    # Like --report /dev/full: the path opens for append, then the write fails.
+    def full(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.Path, "write_text", full)
+    path = str(tmp_path / "out.txt")
+    assert run_cli("--scenario", SCENARIO_FILE, "--agent", AGENT, flag, path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _load_monte_carlo():

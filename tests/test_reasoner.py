@@ -143,10 +143,11 @@ def test_relevant_plans_match_op_kind_and_unify():
         "@p3\n-get(port) : true.\n"
         "@p4\n+get(port) : true.\n"))
     out = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, term("get", Atom("port"))))
-    assert [(p.label, u) for p, u in out] == [("p1", {"X": Atom("port")}), ("p2", {})]
+    assert [(p.label, u) for p, u in _bound(out, term("get", Atom("port")))] == \
+        [("p1", {"X": Atom("port")}), ("p2", {})]
 
 
-def test_applicable_plans_one_desire_per_context_solution():
+def test_select_intention_takes_the_first_context_solution():
     # The context has one solution per matching belief, in belief-base order;
     # selection commits to the plan with the first of them.
     state = init_agent(parse_program("!g.\n@p\n+!g : port(P) <- act(P).\n"))
@@ -154,7 +155,7 @@ def test_applicable_plans_one_desire_per_context_solution():
     relevant = relevant_plans(state.tables, TriggerEvent("+", ACHIEVE, term("g")))
     [(plan, theta)] = relevant
     assert [u["P"] for u in solve(plan.context, beliefs, theta)] == [Number(80), Number(22)]
-    assert select_intention(relevant, beliefs, set()) == (plan, {"P": Number(80)})
+    assert select_intention(relevant, term("g"), beliefs, set()) == (plan, {"P": Number(80)})
 
 
 def test_plan_priority_lookup_order():
@@ -177,7 +178,7 @@ def test_select_intention_priority_then_order_then_attempted():
     beliefs = BeliefBase()
 
     def pick(attempted):
-        choice = select_intention(relevant, beliefs, attempted)
+        choice = select_intention(relevant, term("g"), beliefs, attempted)
         return choice and choice[0].label
 
     # @blocked ranks first but its context does not hold.
@@ -325,6 +326,14 @@ def test_internal_print_renders_strings_raw():
     env = ScriptedEnv()
     _single_intention_state('!g.\n+!g : true <- .print("privilege is :", root).', env)
     assert env.trace == ["privilege is :root"]
+
+
+def test_equal_events_share_plans_but_bind_their_own_spelling():
+    # h(1.0) and h(1) are equal, so the second event reads the first one's
+    # relevant plans; each binds X from its own term.
+    result, _, env = run("!g.\n+!g : true <- !h(1.0); !h(1); +g.\n+!h(X) : true <- .print(X).")
+    assert result == GOAL_ACHIEVED
+    assert env.trace == ["1.0", "1"]
 
 
 def test_achieve_goal_suspends_and_posts_event():
@@ -519,6 +528,12 @@ def _selection_order(scanned):
     return [(plan, u) for plan, u, _ in sorted(scanned, key=lambda d: -d[2])]
 
 
+def _bound(relevant, t):
+    """relevant_plans' result with each plan bound to the event term t, as
+    select_intention binds it."""
+    return [(plan, unify(plan.trigger.term, t) if u is None else u) for plan, u in relevant]
+
+
 def _float_twin(t):
     """t with every number as a float: equal to t, but printed differently."""
     if isinstance(t, Number):
@@ -561,11 +576,11 @@ def test_trigger_table_matches_library_scan(triggers, event):
     library = tuple(Plan(t, TrueConst(), (), key=f"plan_{i}") for i, t in enumerate(triggers))
     state = init_agent(AgentProgram(goals=(term("g"),), plans=library))
     events = [event, TriggerEvent(event.op, event.kind, _float_twin(event.term))]
-    # Twice over: the first call of each may fill the memo, the second reads
-    # it. Compared as repr, since Number(1) == Number(1.0) though they print
-    # differently.
+    # Twice over: the first call fills the memo, the others read it, and
+    # each twin is bound from its own term. Compared as repr, since
+    # Number(1) == Number(1.0) though they print differently.
     for e in events + events:
-        assert repr(relevant_plans(state.tables, e)) == \
+        assert repr(_bound(relevant_plans(state.tables, e), e.term)) == \
             repr(_selection_order(_scan_relevant(library, e)))
 
 
@@ -689,7 +704,8 @@ def test_lazy_selection_matches_eager_desire_set(plans, facts, event_arg, data):
         _eager_applicable_plans(_scan_relevant(program.plans, event), beliefs), attempted)
     # Twice over: the second call reads the memo of relevant sets.
     for _ in range(2):
-        choice = select_intention(relevant_plans(state.tables, event), beliefs, attempted)
+        choice = select_intention(relevant_plans(state.tables, event), event.term, beliefs,
+                                  attempted)
         assert (choice and (choice[0].key, choice[1])) == \
             (expected and (expected[0].key, expected[1]))
         assert choice is None or all(t.ground for t in choice[1].values())

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from bdi_pentest import load_scenario, parse_program
+from bdi_pentest.actions import ACTIONS, PROBE
 from bdi_pentest.beliefs import BeliefBase
 from bdi_pentest.runner import (
     CYCLE_CAP,
@@ -15,7 +16,6 @@ from bdi_pentest.runner import (
     run_batch,
     run_scenario,
 )
-from bdi_pentest.targets import FACETS
 
 FAILED_DRAW = 0.13183533644420975
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -139,7 +139,7 @@ def test_runs_of_one_scenario_add_the_same_percept_objects(monkeypatch):
     # Probe answers are built once, with the scenario, not once per run.
     text, program = _campaign()
     scenario = load_scenario(text)
-    functors = {f.functor for f in FACETS.values()}
+    functors = {row.facet.functor for row in ACTIONS.values() if row.kind == PROBE}
     added = []
     add = BeliefBase.add
     monkeypatch.setattr(BeliefBase, "add",

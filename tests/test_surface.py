@@ -38,3 +38,34 @@ def test_every_public_name_is_loaded_outside_the_tests():
               for shown, name in _defined(ast.parse(path.read_text()))
               if not name.startswith("_") and name not in loaded]
     assert unused == []
+
+
+
+def _is_type_checking(test):
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def _names_targets(node):
+    """Whether an import statement of the package takes anything from
+    `bdi_pentest.targets`."""
+    if isinstance(node, ast.Import):
+        modules = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["bdi_pentest" if node.level == 1 else "", node.module]))
+        modules = [base] + [f"{base}.{a.name}" for a in node.names]
+    else:
+        return False
+    return any(m == "bdi_pentest.targets" or m.startswith("bdi_pentest.targets.")
+               for m in modules)
+
+
+def test_the_catalog_imports_nothing_from_the_scenario_at_run_time():
+    """`actions` sits below `targets`: the scenario is compiled against the
+    catalog, and the catalog names scenario types only for type checking."""
+    tree = ast.parse((PACKAGE / "actions.py").read_text())
+    typing_only = {id(n) for node in ast.walk(tree)
+                   if isinstance(node, ast.If) and _is_type_checking(node.test)
+                   for stmt in node.body for n in ast.walk(stmt)}
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if _names_targets(node) and id(node) not in typing_only] == []

@@ -5,7 +5,6 @@ import yaml
 
 from bdi_pentest.actions import ACTIONS, PROBE
 from bdi_pentest.targets import (
-    FACETS,
     ConfigError,
     Credential,
     RunRng,
@@ -104,6 +103,7 @@ def test_threshold_overrides():
     # Unknown keys, at every level, instead of a silent default.
     ("max_cycle: 3\ntargets:\n  - {name: t, os: linux}", "<root>.max_cycle"),
     ("agent_program: a.asl\ntargets:\n  - {name: t, os: linux}", "<root>.agent_program"),
+    ("tables: {}\ntargets:\n  - {name: t, os: linux}", "<root>.tables"),
     ("targets:\n  - {name: t, os: linux, port: [22]}", "targets[0].port"),
     ("targets:\n  - name: t\n    os: linux\n    ports: [22]\n"
      "    services: [{port: 22, name: ssh, version: 7}]", "targets[0].services[0].version"),
@@ -205,15 +205,6 @@ def test_rich_scenario_loads_to_literal():
     )
 
 
-def test_target_finds_the_first_of_a_name():
-    # load_scenario refuses a second target of one name; a Scenario built
-    # directly answers with the first, as a scan of `targets` would.
-    first, second = TargetSpec("a", "linux", subnet="x"), TargetSpec("a", "windows")
-    scenario = Scenario("s", (first, second, TargetSpec("b", "linux", subnet="x")))
-    assert scenario.target("a") is first
-    assert scenario.tables["a"].peers == (scenario.targets[2],)
-
-
 def test_subnet_peers(single_target_scenario):
     assert single_target_scenario.tables["target"].peers == ()
     two = Scenario("s", (TargetSpec("a", "linux", subnet="lan0"),
@@ -228,33 +219,34 @@ class TestHandleProbe:
                       (Vulnerability("cve_remote", "remote"),),
                       staff=(Staff("ops@example.org"),))
 
-    def probe(self, facet):
-        return [literal_to_str(l) for l in handle_probe(self.SPEC, facet)[0]]
+    def probe(self, action):
+        return handle_probe(self.SPEC, ACTIONS[action].facet)
+
+    def percepts(self, action):
+        return [literal_to_str(l) for l in self.probe(action)[0]]
 
     def test_each_facet(self):
-        assert self.probe("os") == ["ostype(linux)[source(target)]"]
-        assert self.probe("port") == ["port(80)[source(target)]",
-                                      "port(22)[source(target)]"]
-        assert self.probe("service") == ["service(nginx)[source(target)]",
-                                         "service(ssh)[source(target)]"]
-        assert self.probe("vulnerability") == ["vulnerability(cve_remote)[source(target)]"]
-        assert self.probe("email") == ['email("ops@example.org")[source(target)]']
-
-    def test_every_probe_action_reads_a_facet(self):
-        probes = {row.facet for row in ACTIONS.values() if row.kind == PROBE}
-        assert probes == set(FACETS)
+        assert self.percepts("probe_os") == ["ostype(linux)[source(target)]"]
+        assert self.percepts("probe_ports") == ["port(80)[source(target)]",
+                                                "port(22)[source(target)]"]
+        assert self.percepts("probe_services") == ["service(nginx)[source(target)]",
+                                                   "service(ssh)[source(target)]"]
+        assert self.percepts("probe_vulnerabilities") == [
+            "vulnerability(cve_remote)[source(target)]"]
+        assert self.percepts("probe_emails") == ['email("ops@example.org")[source(target)]']
 
     def test_one_trace_line_per_percept(self):
-        assert handle_probe(self.SPEC, "port")[1] == ["The target port are :80",
-                                                      "The target port are :22"]
-        assert handle_probe(self.SPEC, "vulnerability")[1] == [
+        assert self.probe("probe_ports")[1] == ["The target port are :80",
+                                                "The target port are :22"]
+        assert self.probe("probe_vulnerabilities")[1] == [
             "The target remote vulnerability is :cve_remote"]
-        for facet in FACETS:
-            percepts, lines = handle_probe(self.SPEC, facet)
-            assert len(percepts) == len(lines)
+        for name, row in ACTIONS.items():
+            if row.kind == PROBE:
+                percepts, lines = self.probe(name)
+                assert len(percepts) == len(lines)
 
     def test_probe_is_pure(self):
-        assert handle_probe(self.SPEC, "port") == handle_probe(self.SPEC, "port")
+        assert self.probe("probe_ports") == self.probe("probe_ports")
 
 
 class TestRunRng:
