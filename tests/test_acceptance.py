@@ -57,13 +57,13 @@ def test_criterion_1_single_target_run(single_target_scenario, single_target_pro
     report, trace = run_scenario(single_target_scenario, single_target_program, draws=SIM1_DRAWS)
     elapsed = time.perf_counter() - started
 
-    attempts = [(s.action, tuple(s.args), s.outcome) for s in report.steps
-                if s.draw is not None]
+    attempts = [(s["action"], tuple(s["args"]), s["outcome"]) for s in report.steps
+                if s["draw"] is not None]
     assert attempts == [
         ("password_attack", ("ssh",), "failure"),
         ("bof_attack", ("cve_remote", "remote"), "success"),
     ]
-    assert not any(s.action == "bof_attack" and s.args[1] == "local"
+    assert not any(s["action"] == "bof_attack" and s["args"][1] == "local"
                    for s in report.steps)
     assert report.result == GOAL_ACHIEVED
     assert report.final_privilege == "root"
@@ -81,10 +81,10 @@ def test_criterion_2_escalation_path(single_target_scenario, single_target_progr
 
     path = []
     for s in report.steps:
-        if not path or path[-1] != s.privilege_after:
-            path.append(s.privilege_after)
+        if not path or path[-1] != s["privilege_after"]:
+            path.append(s["privilege_after"])
     assert path == ["none", "user", "root"]
-    bofs = [(s.args[1], s.outcome) for s in report.steps if s.action == "bof_attack"]
+    bofs = [(s["args"][1], s["outcome"]) for s in report.steps if s["action"] == "bof_attack"]
     assert bofs == [("local", "success"), ("remote", "success")]
     assert elapsed < 1.0
     _ok(2, f"privilege path none -> user -> root, both overflow modes succeed "
@@ -158,7 +158,7 @@ def test_criterion_6_behavioral_properties(single_target_scenario, single_target
     # Privilege monotonicity along every run.
     for seed in range(200):
         report, _ = run_scenario(single_target_scenario, single_target_program, seed=seed)
-        levels = [Privilege[s.privilege_after.upper()] for s in report.steps]
+        levels = [Privilege[s["privilege_after"].upper()] for s in report.steps]
         assert all(a <= b for a, b in zip(levels, levels[1:]))
 
     # Failure recovery terminates without reselecting a plan for its event.

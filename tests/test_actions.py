@@ -62,7 +62,7 @@ class TestPrivilege:
             env.execute(action, args)
             levels.append(env.privilege["target"])
         # A won password attack after root, and a lost one, keep root.
-        assert [s.outcome for s in env.steps] == ["success"] * 3 + ["failure"]
+        assert [s["outcome"] for s in env.steps] == ["success"] * 3 + ["failure"]
         assert levels == [Privilege.USER, Privilege.ROOT, Privilege.ROOT, Privilege.ROOT]
 
 
@@ -140,10 +140,17 @@ class TestSqlInjection:
         success, _ = env.execute("sqli_attack", (Atom("web"),))
         assert success and env.privilege["web"] is Privilege.WEB
 
-    def test_no_web_service_is_precondition_error(self):
-        spec = TargetSpec("t", "linux", (22,), (Service(22, "ssh"),))
-        with pytest.raises(ActionError, match="no web service on port 80 of t"):
-            attack("sqli_attack", spec=spec)
+    @pytest.mark.parametrize("ports,services", [
+        ((22,), (Service(22, "ssh"),)),
+        # Port 80 is open and a web service runs, but not on port 80.
+        ((80, 8080), (Service(80, "ssh"), Service(8080, "nginx"))),
+    ], ids=["no_web_service", "web_service_off_port_80"])
+    def test_no_web_service_is_precondition_error(self, ports, services):
+        spec = TargetSpec("t", "linux", ports, services, (Vulnerability("cve_sqli", "sqli"),))
+        env = RunContext(Scenario("s", (spec,)), fixed(0.99))
+        assert env.execute("sqli_attack", (Atom("t"),)) == (False, [])
+        assert env.rng.consumed == 0 and env.steps == []
+        assert env.trace[-1].endswith("not possible: no web service on port 80 of t")
 
     def test_no_sqli_vulnerability_no_draw(self):
         rng = fixed(0.99)

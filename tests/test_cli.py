@@ -317,6 +317,20 @@ def test_existing_report_kept_when_the_run_fails(tmp_path, monkeypatch):
     assert report.read_text() == "old report\n"
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_refused_output_path_leaves_no_new_file_behind(tmp_path, capsys, existing):
+    trace = tmp_path / "trace.txt"
+    if existing:
+        trace.write_text("old trace\n")
+    report = tmp_path / "missing" / "x"
+    assert run_cli("--scenario", SCENARIO_FILE, "--agent", AGENT,
+                   "--trace", str(trace), "--report", str(report)) == 2
+    assert capsys.readouterr().err == \
+        f"error: [Errno 2] No such file or directory: '{report}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["trace.txt"] if existing else [])
+    assert not existing or trace.read_text() == "old trace\n"
+
+
 @pytest.mark.parametrize("flag", ["--report", "--trace"])
 def test_output_that_fails_on_write_exits_two_with_one_error_line(tmp_path, capsys,
                                                                   monkeypatch, flag):

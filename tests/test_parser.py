@@ -413,24 +413,35 @@ def _steps():
     )
 
 
-def _plans(index):
+def _plans():
     return st.tuples(
         st.sampled_from([("+", BELIEF), ("-", BELIEF), ("+", ACHIEVE)]),
         _literals(_terms()),
         _contexts(),
         st.lists(_steps(), max_size=4),
-    ).map(lambda t: Plan(TriggerEvent(*t[0], t[1]), t[2], tuple(t[3]),
-                         key=f"plan_{index}"))
+        # Labels of the `plan_<n>` form, which no unlabelled plan's key may equal.
+        st.sampled_from([None, "plan_0", "plan_1", "plan_2"]),
+    ).map(lambda t: Plan(TriggerEvent(*t[0], t[1]), t[2], tuple(t[3]), label=t[4]))
+
+
+def _numbered(plans):
+    """Each plan keyed as the parser keys it; a label an earlier plan holds
+    is dropped, as the parser refuses it."""
+    labels = set()
+    out = []
+    for i, p in enumerate(plans):
+        label = p.label if p.label not in labels else None
+        labels.add(label)
+        out.append(Plan(p.trigger, p.context, p.body, label=label,
+                        key=label if label is not None else i))
+    return tuple(out)
+
 
 _programs = st.builds(
-    lambda beliefs, goals, plans: AgentProgram(
-        tuple(beliefs), tuple(goals),
-        tuple(p if i == p.key.split("_")[1] else Plan(p.trigger, p.context, p.body,
-                                                      key=f"plan_{i}")
-              for i, p in enumerate(plans))),
+    lambda beliefs, goals, plans: AgentProgram(tuple(beliefs), tuple(goals), _numbered(plans)),
     st.lists(st.builds(Literal, _literals(_ground_terms()), _annotations), max_size=3),
     st.lists(_literals(_ground_terms()), max_size=2),
-    st.lists(_plans(0), max_size=4),
+    st.lists(_plans(), max_size=4),
 )
 
 
@@ -438,4 +449,6 @@ _programs = st.builds(
 @given(_programs)
 def test_pretty_print_round_trip(program):
     printed = program_to_str(program)
-    assert parse_program(printed) == program
+    parsed = parse_program(printed)
+    assert parsed == program
+    assert len({p.key for p in parsed.plans}) == len(parsed.plans)

@@ -397,6 +397,19 @@ def test_alternatives_tried_in_order_after_failures():
     assert env.calls == ["act_a", "act_b", "act_c"]
 
 
+def test_a_label_cannot_take_another_plans_failure_key():
+    # A label may be any atom, `plan_1` included; when that plan fails, the
+    # unlabelled plan after it is still tried.
+    env = ScriptedEnv(outcomes={"fail_me": False})
+    result, state, env = run(
+        "!g.\n"
+        "@plan_1\n+!g : true <- fail_me; +g.\n"
+        "+!g : true <- .print(\"second plan ran\"); +g.\n", env)
+    assert result == GOAL_ACHIEVED
+    assert env.calls == ["fail_me"]
+    assert env.trace == ["second plan ran"]
+
+
 def test_exhausted_alternatives_record_failed_goal():
     env = ScriptedEnv(outcomes={"act_a": False, "act_b": False})
     result, state, env = run(

@@ -26,8 +26,8 @@ def test_single_target_run_reaches_root(single_target_scenario, single_target_pr
                                  draws=(FAILED_DRAW, 0.6))
     assert report.result == GOAL_ACHIEVED
     assert report.final_privilege == "root"
-    attacks = [(s.action, tuple(s.args), s.outcome) for s in report.steps
-               if s.draw is not None]
+    attacks = [(s["action"], tuple(s["args"]), s["outcome"]) for s in report.steps
+               if s["draw"] is not None]
     assert attacks == [
         ("password_attack", ("ssh",), "failure"),
         ("bof_attack", ("cve_remote", "remote"), "success"),
@@ -41,11 +41,11 @@ def test_privilege_escalation_path(single_target_scenario, single_target_program
                              draws=(0.9, 0.35, 0.7))
     path = []
     for s in report.steps:
-        if not path or path[-1] != s.privilege_after:
-            path.append(s.privilege_after)
+        if not path or path[-1] != s["privilege_after"]:
+            path.append(s["privilege_after"])
     assert path == ["none", "user", "root"]
-    modes = [s.args[1] for s in report.steps if s.action == "bof_attack"]
-    outcomes = [s.outcome for s in report.steps if s.action == "bof_attack"]
+    modes = [s["args"][1] for s in report.steps if s["action"] == "bof_attack"]
+    outcomes = [s["outcome"] for s in report.steps if s["action"] == "bof_attack"]
     assert modes == ["local", "remote"] and outcomes == ["success", "success"]
 
 
@@ -54,7 +54,7 @@ def test_hardened_target_exhausts(hardened_scenario, single_target_program):
     assert report.result == EXHAUSTED
     assert report.final_privilege == "none"
     # No chance-based attempt is possible, so no draw is ever consumed.
-    assert all(s.draw is None for s in report.steps)
+    assert all(s["draw"] is None for s in report.steps)
 
 
 def test_cycle_cap_result(single_target_scenario, single_target_program):
@@ -67,10 +67,10 @@ def test_cycle_cap_result(single_target_scenario, single_target_program):
 def test_trace_rate_lines_match_report_draws(single_target_scenario, single_target_program):
     report, trace = run_scenario(single_target_scenario, single_target_program, seed=99)
     rate_lines = [l for l in trace if "The rate of" in l]
-    drawn_steps = [s for s in report.steps if s.draw is not None]
+    drawn_steps = [s for s in report.steps if s["draw"] is not None]
     assert len(rate_lines) == len(drawn_steps)
     for line, step in zip(rate_lines, drawn_steps):
-        assert line.endswith(repr(step.draw))
+        assert line.endswith(repr(step["draw"]))
 
 
 @pytest.mark.parametrize("scenario_file,agent_file,seeds", [
@@ -84,7 +84,7 @@ def test_one_draw_per_report_step_with_a_draw(scenario_file, agent_file, seeds):
     total = 0
     for seed in seeds:
         _, _, env = _run(scenario, program, seed)
-        drawn = sum(s.draw is not None for s in env.steps)
+        drawn = sum(s["draw"] is not None for s in env.steps)
         assert env.rng.consumed == drawn, f"seed {seed}"
         total += drawn
     # The hardened target offers no chance-based attempt; the others do.
