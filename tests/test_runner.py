@@ -36,6 +36,16 @@ def test_single_target_run_reaches_root(single_target_scenario, single_target_pr
                for line in trace)
 
 
+def test_a_target_named_by_an_ip_address_is_probed():
+    # A dotted quad lexes as a string; an action names the target by its text.
+    scenario = load_scenario('targets:\n  - {name: "192.168.0.10", os: linux}\n')
+    program = parse_program('!g. +!g : true <- probe_os(192.168.0.10); .print(192.168.0.10); +g.')
+    report, trace = run_scenario(scenario, program)
+    assert report.result == GOAL_ACHIEVED
+    assert [(s["action"], s["target"]) for s in report.steps] == [("probe_os", "192.168.0.10")]
+    assert trace == ["[bdi_agent] target system is :linux", "[bdi_agent] 192.168.0.10"]
+
+
 def test_privilege_escalation_path(single_target_scenario, single_target_program):
     report, _ = run_scenario(single_target_scenario, single_target_program,
                              draws=(0.9, 0.35, 0.7))
