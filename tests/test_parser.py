@@ -35,6 +35,7 @@ from bdi_pentest.terms import (
     Variable,
     literal_to_str,
     term_to_str,
+    variables_of,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -99,6 +100,12 @@ def test_trigger_forms_are_bijective():
     ("!g.\n+!g : a(X) | b <- probe_os(X).", 2, 1, "variable X is not bound"),
     ("+!g : X != a <- probe_os(X).", 1, 1, "variable X is not bound"),
     ("+!g : X \\= a <- probe_os(X).", 1, 1, "variable X is not bound"),
+    # Comparisons other than `=` and `\=` need every variable bound before
+    # them, or they would compare the variable itself.
+    ('!g. +!g : X != a <- .print("held with X = ", X); +g.', 1, 5,
+     "variable X is not bound before '!='"),
+    ("+!g : X < 3 <- +g.", 1, 1, "variable X is not bound before '<'"),
+    ("+!g(Y) : Y >= f(Z) & a(Z) <- act.", 1, 1, "variable Z is not bound before '>='"),
     ("+!g : true <- .print(X); probe_os(X).", 1, 1, "variable X is not bound"),
     # Annotations are stored, so they are held to the same rules as terms.
     ("+!g : true <- +seen(a)[source(X)].", 1, 1, "variable X is not bound"),
@@ -377,12 +384,22 @@ def _literals(terms):
 _annotations = st.frozensets(_ground_terms(), max_size=2)
 
 
+def _after_binding(c):
+    """`c`, after a literal binding the variables of both its sides."""
+    free = sorted(variables_of(c.lhs) | variables_of(c.rhs))
+    if not free:
+        return c
+    return And(LiteralCond(Compound("bound", tuple(map(Variable, free)))), c)
+
+
 def _contexts():
     leaves = st.one_of(
         st.just(TrueConst()),
         _literals(_terms()).map(LiteralCond),
+        # The other comparisons need every variable bound before them: here
+        # by a literal just before.
         st.tuples(_terms(), st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
-                  _terms()).map(lambda t: Comparison(*t)),
+                  _terms()).map(lambda t: _after_binding(Comparison(*t))),
         # `=` and `\=` need one side bound before them: here a ground one,
         # on either side.
         st.tuples(_terms(), st.sampled_from(["=", "\\="]), _ground_terms(), st.booleans())

@@ -686,8 +686,8 @@ def _eager_select_intention(desires, attempted):
 _FACTS = ["port(80)", "port(22)", "port(443)", "service(ssh)", "service(http)",
           "on(80, http)", "on(22, ssh)", "on(443, http)"]
 _CONTEXT_LITERALS = _FACTS + ["service(ftp)", "port(P)", "service(S)", "on(P, S)",
-                              "on(P, http)", "on(22, S)", "P > 30", "P = 22", "S \\= ssh",
-                              "X == a", "true"]
+                              "on(P, http)", "on(22, S)", "(port(P) & P > 30)", "P = 22",
+                              "S \\= ssh", "(service(X) & X == ssh)", "true"]
 _contexts = st.recursive(
     st.sampled_from(_CONTEXT_LITERALS),
     lambda inner: st.one_of(
