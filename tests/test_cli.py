@@ -318,6 +318,19 @@ def test_existing_report_kept_when_the_run_fails(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("existing", [False, True])
+def test_trace_and_report_naming_one_file_is_refused(tmp_path, capsys, monkeypatch, existing):
+    # Written in turn, the report would overwrite the trace.
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        Path("same.txt").write_text("old\n")
+    assert run_cli("--scenario", SCENARIO_FILE, "--agent", AGENT, "--seed", "3",
+                   "--trace", "same.txt", "--report", "./same.txt") == 2
+    assert capsys.readouterr() == ("", "error: --report: names the same file as --trace\n")
+    assert [p.name for p in tmp_path.iterdir()] == (["same.txt"] if existing else [])
+    assert not existing or Path("same.txt").read_text() == "old\n"
+
+
+@pytest.mark.parametrize("existing", [False, True])
 def test_refused_output_path_leaves_no_new_file_behind(tmp_path, capsys, existing):
     trace = tmp_path / "trace.txt"
     if existing:
