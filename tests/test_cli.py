@@ -186,6 +186,13 @@ def _no_batch(*args, **kwargs):
      "line 2, column 34"),
     ([], None, "!g. +!g : X = 1" + "0" * 5000 + " <- true.\n", "1:15"),
     ([], "name: \x01\n", None, "invalid YAML"),
+    # libyaml places a character it refuses by its byte offset; the line
+    # names its line and column, here past a two-byte character.
+    ([], "name: \u00e9\x01\n", None, "line 1, column 8"),
+    # A refused value is echoed shortened, however long it is.
+    ([], "seed: [" + ", ".join(map(str, range(1, 20001))) + "]\n" + ONE_TARGET, None,
+     "<root>.seed"),
+    ([], None, '!g.\n+!g : true <- "' + "a" * 100_000 + '".\n', "2:15"),
     # Agents that would post a non-ground event, and an `=` whose sides
     # chain 30 variables, are refused at their statement.
     ([], None, NON_GROUND_GOAL, "1:5: initial goals must be ground"),
@@ -200,7 +207,9 @@ def _no_batch(*args, **kwargs):
         "workers-without-repeat", "nested-not", "nested-term", "long-conjunction",
         "deep-yaml-list", "deep-yaml-mapping", "yaml-alias-chain", "yaml-syntax-error",
         "yaml-huge-integer", "yaml-hex-integer", "yaml-binary-port", "agent-huge-integer",
-        "yaml-control-character", "non-ground-goal", "unsafe-equals", "chained-equals"])
+        "yaml-control-character", "yaml-control-character-after-multibyte",
+        "yaml-long-value", "agent-long-string", "non-ground-goal", "unsafe-equals",
+        "chained-equals"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):
     # Rejected input must never reach run_batch, which may start worker processes.
@@ -218,6 +227,8 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # The line holds at most a shortened echo of the input, whatever its size.
+    assert len(captured.err) < 300
     # A flag's error line names the flag first.
     if named.startswith("--"):
         assert captured.err.startswith(f"error: {named}: ")

@@ -11,6 +11,9 @@ to its default. Two properties hold:
 - any single corruption of that YAML (a wrong type, a value out of range,
   an item repeating an earlier item's first field, an unknown key, a missing
   required field) is refused with a ConfigError at the corrupted field.
+
+The loader's YAML reading is checked against PyYAML's pure-Python
+`yaml.SafeLoader` on those documents and on one-character changes to them.
 """
 
 import copy
@@ -29,6 +32,7 @@ from bdi_pentest.targets import (
     TargetSpec,
     Thresholds,
     Vulnerability,
+    _Loader,
     load_scenario,
 )
 
@@ -244,3 +248,40 @@ def test_corruptions_cover_every_kind():
         set(_WRONG_TYPE)
     for path, change in corruptions[::7]:
         assert _refused_at(_corrupt(doc, path, change)) == _fmt(path)
+
+
+# --- libyaml against pure-Python PyYAML ------------------------------------
+
+# YAML's indicator characters, a tab, a lone surrogate, and "" to delete.
+_EDITS = list("-?:,[]{}#&*!|>'\"%@`") + ["\t", "\ud800", ""]
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, st.data())
+def test_the_loader_reads_yaml_as_pure_python_pyyaml_does(case, data):
+    # A document unchanged, or with one character inserted, replaced or
+    # deleted: whatever the reference loads, the loader loads equal or, where
+    # libyaml's grammar is stricter, the value is no scenario; and
+    # load_scenario refuses anything else with a ConfigError.
+    text = _yaml(case[1])
+    i, drop = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 1))
+    text = text[:i] + data.draw(st.sampled_from(_EDITS)) + text[i + drop:]
+    try:
+        reference = yaml.load(text, Loader=yaml.SafeLoader)
+    except yaml.YAMLError:
+        pass
+    else:
+        try:
+            loaded = yaml.load(text.encode(errors="surrogatepass"), Loader=_Loader)
+        except yaml.YAMLError:
+            # libyaml refuses some flow sequence items that PyYAML reads as
+            # a one-pair mapping with a null value, such as those of `[?]`
+            # and `[x:, b]`; no scenario field holds such a mapping.
+            with pytest.raises(ConfigError):
+                load_scenario(_yaml(reference))
+        else:
+            assert repr(loaded) == repr(reference)
+    try:
+        load_scenario(text)
+    except ConfigError:
+        pass

@@ -133,6 +133,20 @@ def test_config_errors_carry_field_path(text, path_fragment):
     assert path_fragment in e.value.path
 
 
+@pytest.mark.parametrize("text,where", [
+    ("name: \x01\n", "#x0001: control characters are not allowed at line 1, column 7"),
+    ("name: \u00e9\x01\n", "#x0001: control characters are not allowed at line 1, column 8"),
+    ("a: 1\r\n\u2028\x85b: \x01", "#x0001: control characters are not allowed at line 4, "
+     "column 4"),
+    # UTF-8, which libyaml reads, cannot hold a lone surrogate.
+    ("name: \ud800\n", "#xd800: invalid Unicode character at line 1, column 7"),
+])
+def test_an_unacceptable_character_is_refused_at_its_line_and_column(text, where):
+    with pytest.raises(ConfigError) as e:
+        load_scenario(text)
+    assert str(e.value) == f"<root>: invalid YAML: unacceptable character {where}"
+
+
 def _loaded_depth(value, open_=()):
     """Levels of a loaded YAML value, a scalar counting one; unbounded for a
     value that holds itself."""
