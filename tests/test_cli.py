@@ -193,6 +193,8 @@ def _no_batch(*args, **kwargs):
     ([], "seed: [" + ", ".join(map(str, range(1, 20001))) + "]\n" + ONE_TARGET, None,
      "<root>.seed"),
     ([], None, '!g.\n+!g : true <- "' + "a" * 100_000 + '".\n', "2:15"),
+    ([], "? " + "a" * 100_000 + "\n: 1\n" + ONE_TARGET, None, "unknown field"),
+    ([], "? " + "*" + "a" * 100_000 + "\n: 1\n" + ONE_TARGET, None, "undefined alias"),
     # Agents that would post a non-ground event, and an `=` whose sides
     # chain 30 variables, are refused at their statement.
     ([], None, NON_GROUND_GOAL, "1:5: initial goals must be ground"),
@@ -208,7 +210,8 @@ def _no_batch(*args, **kwargs):
         "deep-yaml-list", "deep-yaml-mapping", "yaml-alias-chain", "yaml-syntax-error",
         "yaml-huge-integer", "yaml-hex-integer", "yaml-binary-port", "agent-huge-integer",
         "yaml-control-character", "yaml-control-character-after-multibyte",
-        "yaml-long-value", "agent-long-string", "non-ground-goal", "unsafe-equals",
+        "yaml-long-value", "agent-long-string", "yaml-long-key", "yaml-long-alias",
+        "non-ground-goal", "unsafe-equals",
         "chained-equals"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,
                                                  scenario_text, agent_text, named):

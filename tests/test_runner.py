@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from bdi_pentest import load_scenario, parse_program
+from bdi_pentest import load_scenario, parse_program, reasoner
 from bdi_pentest.actions import ACTIONS, PROBE
 from bdi_pentest.beliefs import BeliefBase
 from bdi_pentest.runner import (
     CYCLE_CAP,
+    RunContext,
     EXHAUSTED,
     GOAL_ACHIEVED,
     _run,
@@ -96,6 +97,9 @@ def test_one_draw_per_report_step_with_a_draw(scenario_file, agent_file, seeds):
         _, _, env = _run(scenario, program, seed)
         drawn = sum(s["draw"] is not None for s in env.steps)
         assert env.rng.consumed == drawn, f"seed {seed}"
+        # A run that records nothing, as run_batch's, draws the same.
+        assert _run(scenario, program, seed, record=False)[2].rng.consumed == drawn, \
+            f"seed {seed}"
         total += drawn
     # The hardened target offers no chance-based attempt; the others do.
     assert (total > 0) == (scenario_file != "hardened.yaml")
@@ -174,3 +178,26 @@ def test_a_run_scenario_still_equals_a_fresh_load():
     assert scenario == fresh and hash(scenario) == hash(fresh)
     assert repr(scenario) == repr(fresh)
     assert pickle.loads(pickle.dumps(scenario)) == scenario
+
+
+def _no_recording(*args, **kwargs):
+    raise AssertionError("a batch run built a trace line, a .print text or a step")
+
+
+def test_run_batch_builds_no_trace_or_step(monkeypatch):
+    # Every result equals run_scenario's, with every way a run records its
+    # trace or its steps made to raise; workers fork with the patches.
+    for scenario_file, agent_file, seeds in [
+            ("single_target.yaml", "single_target_agent.asl", range(200)),
+            ("hardened.yaml", "single_target_agent.asl", range(20)),
+            ("campaign.yaml", "campaign_agent.asl", range(100))]:
+        scenario = load_scenario((SCENARIOS / scenario_file).read_text())
+        program = parse_program((SCENARIOS / agent_file).read_text())
+        singles = [run_scenario(scenario, program, seed=s)[0].result for s in seeds]
+        with monkeypatch.context() as m:
+            m.setattr(RunContext, "log", _no_recording)
+            m.setattr(RunContext, "_record", _no_recording)
+            m.setattr(reasoner, "term_text", _no_recording)  # .print text
+            m.setattr(reasoner, "term_to_str", _no_recording)  # "no applicable plan"
+            for workers in (1, 2):
+                assert run_batch(scenario, program, seeds, workers=workers) == singles

@@ -182,6 +182,23 @@ def test_yaml_nested_past_16_levels_is_refused_aliases_included():
         assert ("nested more than 16 levels deep" in str(e.value)) == too_deep, text
 
 
+@pytest.mark.parametrize("text,message", [
+    # An alias to an anchor never defined is PyYAML's error, with its place.
+    ("a: *y\n", "invalid YAML: found undefined alias 'y' at line 1, column 4"),
+    ("a: [1, *y]\n", "invalid YAML: found undefined alias 'y' at line 1, column 8"),
+    # A later anchor of that name does not define it where the alias stands.
+    ("a: *y\nb: &y 1\n", "invalid YAML: found undefined alias 'y' at line 1, column 4"),
+    # An alias inside its own, still open, anchor is unbounded.
+    ("a: &x [*x]\n", "nested more than 16 levels deep at line 1, column 8"),
+    ("a: &x {k: [1, *x]}\n", "nested more than 16 levels deep at line 1, column 15"),
+], ids=["undefined", "undefined-in-list", "defined-later", "inside-own-anchor",
+        "inside-own-mapping"])
+def test_yaml_alias_errors(text, message):
+    with pytest.raises(ConfigError) as e:
+        load_scenario(text)
+    assert str(e.value) == f"<root>: {message}"
+
+
 RICH_YAML = """
 name: rich
 seed: 7
