@@ -195,6 +195,13 @@ def _no_batch(*args, **kwargs):
     ([], None, '!g.\n+!g : true <- "' + "a" * 100_000 + '".\n', "2:15"),
     ([], "? " + "a" * 100_000 + "\n: 1\n" + ONE_TARGET, None, "unknown field"),
     ([], "? " + "*" + "a" * 100_000 + "\n: 1\n" + ONE_TARGET, None, "undefined alias"),
+    ([], "x: &" + "q" * 100_000 + " 1\ny: &" + "q" * 100_000 + " 2\n", None,
+     "duplicate anchor"),
+    # A name the parser refuses is echoed shortened too.
+    ([], None, "!g.\n+!g : true <- ." + "p" * 100_000 + "(x).\n", "unknown internal action"),
+    ([], None, "!g.\n" + ("@" + "l" * 100_000 + " +!g <- act.\n") * 2, "duplicate plan label"),
+    ([], None, "!g.\n+!g : true <- act(" + "X" * 100_000 + ").\n", "is not bound by"),
+    ([], None, "!g.\n+!g : " + "X" * 100_000 + " < 3 <- act.\n", "is not bound before '<'"),
     # Agents that would post a non-ground event, and an `=` whose sides
     # chain 30 variables, are refused at their statement.
     ([], None, NON_GROUND_GOAL, "1:5: initial goals must be ground"),
@@ -211,6 +218,8 @@ def _no_batch(*args, **kwargs):
         "yaml-huge-integer", "yaml-hex-integer", "yaml-binary-port", "agent-huge-integer",
         "yaml-control-character", "yaml-control-character-after-multibyte",
         "yaml-long-value", "agent-long-string", "yaml-long-key", "yaml-long-alias",
+        "yaml-long-duplicate-anchor", "agent-long-internal-action", "agent-long-label",
+        "agent-long-variable", "agent-long-compared-variable",
         "non-ground-goal", "unsafe-equals",
         "chained-equals"])
 def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, flags,

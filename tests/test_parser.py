@@ -137,6 +137,16 @@ def test_trigger_forms_are_bijective():
     ("p(٣).", 1, 3, "unexpected character '٣'"),
     ('p("ab', 1, 3, "unterminated string literal"),
     ("port(80).\r\nport(81) x.\r\n", 2, 10, "expected '.' after belief"),
+    # Positions count the LFs before the token, and the characters since the
+    # last one: past a string that spans lines, a comment, a tab, a
+    # non-ASCII character, and at the end of input.
+    ('p("a\nb\\"c") x.', 2, 8, "expected '.' after belief, found 'x'"),
+    ("p. // c\nq x.", 2, 3, "expected '.' after belief, found 'x'"),
+    ("p(a // c", 1, 9, "expected ')', found 'end of input'"),
+    ("p.\n\tq x.", 2, 4, "expected '.' after belief, found 'x'"),
+    ("café(ü) x.", 1, 9, "expected '.' after belief, found 'x'"),
+    ("!g.\n+!g : a(", 2, 9, "expected a term, found 'end of input'"),
+    ("!g.\n+!g : a(b) <-\n", 3, 1, "expected a plan body step, found 'end of input'"),
     # A literal that is not an atom or compound, reported at that term.
     ("+!g : true <- +X.", 1, 16, "a literal must be an atom or compound term"),
     ('+!g : true <- +"s".', 1, 16, "a literal must be an atom or compound term"),

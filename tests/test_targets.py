@@ -191,8 +191,10 @@ def test_yaml_nested_past_16_levels_is_refused_aliases_included():
     # An alias inside its own, still open, anchor is unbounded.
     ("a: &x [*x]\n", "nested more than 16 levels deep at line 1, column 8"),
     ("a: &x {k: [1, *x]}\n", "nested more than 16 levels deep at line 1, column 15"),
+    ("a: &y 1\nb: &y 2\n", "invalid YAML: found duplicate anchor 'y'; first occurrence: "
+     "second occurrence at line 2, column 4"),
 ], ids=["undefined", "undefined-in-list", "defined-later", "inside-own-anchor",
-        "inside-own-mapping"])
+        "inside-own-mapping", "duplicate-anchor"])
 def test_yaml_alias_errors(text, message):
     with pytest.raises(ConfigError) as e:
         load_scenario(text)
