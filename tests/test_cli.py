@@ -62,6 +62,15 @@ def test_successful_run_exits_zero(capsys, tmp_path):
     assert doc["final_privilege"] == "root"
 
 
+def test_an_empty_draw_between_commas_is_skipped(capsys):
+    outputs = []
+    for draws in ("0.13183533644420975,,0.6", "0.13183533644420975,0.6"):
+        assert run_cli("--scenario", SCENARIO_FILE, "--agent", AGENT, "--draws", draws) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith(SIM1_TRACE)
+
+
 def test_hardened_run_exits_one(capsys):
     code = run_cli("--scenario", HARDENED, "--agent", AGENT)
     assert code == 1

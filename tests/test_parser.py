@@ -147,6 +147,12 @@ def test_trigger_forms_are_bijective():
     ("café(ü) x.", 1, 9, "expected '.' after belief, found 'x'"),
     ("!g.\n+!g : a(", 2, 9, "expected a term, found 'end of input'"),
     ("!g.\n+!g : a(b) <-\n", 3, 1, "expected a plan body step, found 'end of input'"),
+    # An empty string literal is shown as itself, not as the end of input.
+    ('+!g : true <- "".', 1, 15, "expected a plan body step, found ''"),
+    ('p "".', 1, 3, "expected '.' after belief, found ''"),
+    # A label must precede a plan, and a variable alone is no context literal.
+    ("@l p.", 1, 4, "expected '+' or '-' trigger, found 'p'"),
+    ("+!g : X <- a.", 1, 9, "expected a literal or comparison, found '<-'"),
     # A literal that is not an atom or compound, reported at that term.
     ("+!g : true <- +X.", 1, 16, "a literal must be an atom or compound term"),
     ('+!g : true <- +"s".', 1, 16, "a literal must be an atom or compound term"),

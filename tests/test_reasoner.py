@@ -230,6 +230,8 @@ def test_solve_comparisons():
     (f"{10 ** 400} < {10 ** 400 + 1}", True), (f"{2 ** 53 + 1} > {float(2 ** 53)}", True),
     # Atoms and strings order by their text; numbers never meet text.
     ('abc < "abd"', True), ("b >= a", True), (f"{10 ** 400} < abc", False),
+    # A compound orders against nothing, itself included.
+    ("f(a) < 1", False), ("1 < f(a)", False), ("f(a) <= f(a)", False), ("f(a) >= a", False),
 ])
 def test_compare_orders_numbers_exactly(src, holds):
     assert _compare(ctx(src), {}) == ([{}] if holds else [])

@@ -6,6 +6,7 @@ import pytest
 from bdi_pentest import load_scenario, parse_program, reasoner
 from bdi_pentest.actions import ACTIONS, PROBE
 from bdi_pentest.beliefs import BeliefBase
+from bdi_pentest.reasoner import init_agent
 from bdi_pentest.runner import (
     CYCLE_CAP,
     RunContext,
@@ -17,6 +18,7 @@ from bdi_pentest.runner import (
     run_batch,
     run_scenario,
 )
+from bdi_pentest.targets import RunRng
 
 FAILED_DRAW = 0.13183533644420975
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -84,6 +86,11 @@ def test_trace_rate_lines_match_report_draws(single_target_scenario, single_targ
         assert line.endswith(repr(step["draw"]))
 
 
+def _start(scenario, program, seed, record=True):
+    """A fresh run's (state, env), as run_scenario and run_batch build them."""
+    return init_agent(program), RunContext(scenario, RunRng(seed), record)
+
+
 @pytest.mark.parametrize("scenario_file,agent_file,seeds", [
     ("single_target.yaml", "single_target_agent.asl", range(500)),
     ("hardened.yaml", "single_target_agent.asl", range(50)),
@@ -94,15 +101,44 @@ def test_one_draw_per_report_step_with_a_draw(scenario_file, agent_file, seeds):
     program = parse_program((SCENARIOS / agent_file).read_text())
     total = 0
     for seed in seeds:
-        _, _, env = _run(scenario, program, seed)
+        state, env = _start(scenario, program, seed)
+        _run(state, env, scenario.max_cycles)
         drawn = sum(s["draw"] is not None for s in env.steps)
         assert env.rng.consumed == drawn, f"seed {seed}"
         # A run that records nothing, as run_batch's, draws the same.
-        assert _run(scenario, program, seed, record=False)[2].rng.consumed == drawn, \
-            f"seed {seed}"
+        state, env = _start(scenario, program, seed, record=False)
+        _run(state, env, scenario.max_cycles)
+        assert env.rng.consumed == drawn, f"seed {seed}"
         total += drawn
     # The hardened target offers no chance-based attempt; the others do.
     assert (total > 0) == (scenario_file != "hardened.yaml")
+
+
+@pytest.mark.parametrize("scenario_file,agent_file", [
+    ("single_target.yaml", "single_target_agent.asl"),
+    ("hardened.yaml", "single_target_agent.asl"),
+    ("campaign.yaml", "campaign_agent.asl"),
+], ids=["single_target", "hardened", "campaign"])
+def test_a_run_stopped_at_a_cycle_cap_resumes_as_one_run(scenario_file, agent_file):
+    # `_run` steps the state it is given: a run stopped after k cycles and
+    # stepped again on the same pair ends as the uninterrupted run does.
+    scenario = load_scenario((SCENARIOS / scenario_file).read_text())
+    program = parse_program((SCENARIOS / agent_file).read_text())
+    cap = scenario.max_cycles
+    resumed = 0
+    for seed in range(50):
+        state, env = _start(scenario, program, seed, record=False)
+        result = _run(state, env, cap)
+        whole = (result, env.rng.consumed, env.privilege, state.beliefs.dump_lines())
+        for k in (1, 17, 55):
+            state, env = _start(scenario, program, seed, record=False)
+            result = _run(state, env, k)
+            if result == CYCLE_CAP:
+                resumed += 1
+                result = _run(state, env, cap)
+            assert (result, env.rng.consumed, env.privilege,
+                    state.beliefs.dump_lines()) == whole, f"seed {seed}, k {k}"
+    assert resumed >= 50  # every run takes more than one cycle
 
 
 def test_same_seed_gives_identical_runs(single_target_scenario, single_target_program):
