@@ -92,12 +92,12 @@ def test_criterion_2_escalation_path(single_target_scenario, single_target_progr
 
 
 def test_criterion_3_per_attempt_success_rates(single_target_scenario):
-    spec = single_target_scenario.targets[0]
+    tables = single_target_scenario.tables[single_target_scenario.targets[0].name]
 
     def rate(action, args, privilege):
         rng = RunRng(20260823)
-        return sum(resolve_attack(single_target_scenario, spec, action, args,
-                                  privilege, rng).success
+        return sum(resolve_attack(single_target_scenario, tables, action, args,
+                                  privilege, rng)[0]
                    for _ in range(N_SAMPLES)) / N_SAMPLES
 
     password = rate("password_attack", ("ssh",), Privilege.NONE)

@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdi_pentest.actions import (
+    ACTIONS,
+    ATTACK,
     ActionError,
     Privilege,
     resolve_attack,
@@ -16,7 +21,8 @@ from bdi_pentest.targets import (
     Thresholds,
     Vulnerability,
 )
-from bdi_pentest.terms import Atom, literal_to_str
+from bdi_pentest.terms import Atom, Literal, literal_to_str
+from test_scenarios import scenarios
 
 TH = Thresholds()
 
@@ -38,9 +44,10 @@ def fixed(*values):
 
 def attack(action, *args, spec=LAN_HOST, others=(), draw=None,
            privilege=Privilege.NONE):
-    """resolve_attack against `spec` in a scenario of it and `others`."""
+    """resolve_attack against `spec` in a scenario of it and `others`: the
+    reason text of an impossible attack, else (success, draw, evidence)."""
     scenario = Scenario("s", (spec, *others))
-    return resolve_attack(scenario, spec, action, args, privilege,
+    return resolve_attack(scenario, scenario.tables[spec.name], action, args, privilege,
                           draw or fixed(0.9))
 
 
@@ -68,67 +75,64 @@ class TestPrivilege:
 
 class TestPasswordAttack:
     def test_threshold_boundary_draw_succeeds(self):
-        out = attack("password_attack", "ssh", draw=fixed(TH.password))
-        assert out.success
+        success, _, _ = attack("password_attack", "ssh", draw=fixed(TH.password))
+        assert success
 
     def test_below_threshold_fails_with_evidence(self):
-        out = attack("password_attack", "ssh", draw=fixed(0.13183533644420975))
-        assert not out.success
-        assert [literal_to_str(l) for l in out.evidence] == \
+        success, _, evidence = attack("password_attack", "ssh", draw=fixed(0.13183533644420975))
+        assert not success
+        assert [literal_to_str(l) for l in evidence] == \
             ["password_attack_failed[source(target)]"]
 
     def test_success_reveals_credential(self):
-        out = attack("password_attack", "ssh", draw=fixed(0.95))
-        assert [literal_to_str(l) for l in out.evidence] == \
+        _, _, evidence = attack("password_attack", "ssh", draw=fixed(0.95))
+        assert [literal_to_str(l) for l in evidence] == \
             ['credential(ssh, "456")[source(target)]']
 
     def test_unloggable_service_is_precondition_error(self):
-        with pytest.raises(ActionError, match="no remotely loggable service 'nginx'"):
-            attack("password_attack", "nginx")
-        with pytest.raises(ActionError, match="no remotely loggable service 'ftp'"):
-            attack("password_attack", "ftp")
+        assert "no remotely loggable service 'nginx'" in attack("password_attack", "nginx")
+        assert "no remotely loggable service 'ftp'" in attack("password_attack", "ftp")
 
     def test_no_credential_short_circuits_without_draw(self):
         spec = TargetSpec("t", "linux", (22,), (Service(22, "ssh"),))
         rng = fixed(0.99)
-        out = attack("password_attack", "ssh", spec=spec, draw=rng)
-        assert not out.success and out.draw is None
-        assert [literal_to_str(l) for l in out.evidence] == ["password_attack_failed[source(t)]"]
+        success, draw, evidence = attack("password_attack", "ssh", spec=spec, draw=rng)
+        assert not success and draw is None
+        assert [literal_to_str(l) for l in evidence] == ["password_attack_failed[source(t)]"]
         assert rng.consumed == 0
 
 
 class TestBufferOverflow:
     def test_remote_at_threshold_succeeds(self):
-        out = attack("bof_attack", "cve_remote", "remote", draw=fixed(TH.bof_remote))
-        assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == \
+        success, _, evidence = attack("bof_attack", "cve_remote", "remote",
+                                      draw=fixed(TH.bof_remote))
+        assert success
+        assert [literal_to_str(l) for l in evidence] == \
             ['attacked("cve_remote")[source(target)]']
 
     def test_remote_below_threshold_fails(self):
-        out = attack("bof_attack", "cve_remote", "remote", draw=fixed(0.49))
-        assert not out.success
-        assert [literal_to_str(l) for l in out.evidence] == \
+        success, _, evidence = attack("bof_attack", "cve_remote", "remote", draw=fixed(0.49))
+        assert not success
+        assert [literal_to_str(l) for l in evidence] == \
             ["bof_attack_failed[source(target)]"]
 
     def test_local_requires_user_privilege(self):
-        with pytest.raises(ActionError, match="requires user privilege"):
-            attack("bof_attack", "cve_local", "local")
-        out = attack("bof_attack", "cve_local", "local", privilege=Privilege.USER,
-                     draw=fixed(0.7))
-        assert out.success
+        assert "requires user privilege" in attack("bof_attack", "cve_local", "local")
+        success, _, _ = attack("bof_attack", "cve_local", "local", privilege=Privilege.USER,
+                               draw=fixed(0.7))
+        assert success
 
     def test_mode_mismatch_is_precondition_error(self):
-        with pytest.raises(ActionError, match="'cve_local' is local, not remote"):
-            attack("bof_attack", "cve_local", "remote")
+        assert "'cve_local' is local, not remote" in attack("bof_attack", "cve_local", "remote")
 
     def test_unknown_vulnerability_no_draw(self):
         rng = fixed(0.99)
-        out = attack("bof_attack", "cve_nope", "remote", draw=rng)
-        assert not out.success and rng.consumed == 0
+        success, _, _ = attack("bof_attack", "cve_nope", "remote", draw=rng)
+        assert not success and rng.consumed == 0
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ActionError, match="bad buffer overflow mode 'sideways'"):
-            attack("bof_attack", "cve_remote", "sideways", privilege=Privilege.ROOT)
+        assert "bad buffer overflow mode 'sideways'" in attack(
+            "bof_attack", "cve_remote", "sideways", privilege=Privilege.ROOT)
 
 
 class TestSqlInjection:
@@ -154,8 +158,8 @@ class TestSqlInjection:
 
     def test_no_sqli_vulnerability_no_draw(self):
         rng = fixed(0.99)
-        out = attack("sqli_attack", draw=rng)
-        assert not out.success and rng.consumed == 0
+        success, _, _ = attack("sqli_attack", draw=rng)
+        assert not success and rng.consumed == 0
 
 
 class TestSniffer:
@@ -163,30 +167,30 @@ class TestSniffer:
                       credentials=(Credential("ssh", "hunter2"),), subnet="lan0")
 
     def test_success_yields_host_credentials(self):
-        out = attack("sniffer_attack", "peer", others=(self.PEER,), draw=fixed(TH.sniffer))
-        assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == \
+        success, _, evidence = attack("sniffer_attack", "peer", others=(self.PEER,),
+                                      draw=fixed(TH.sniffer))
+        assert success
+        assert [literal_to_str(l) for l in evidence] == \
             ['credential(ssh, "456")[source(target)]']
 
-    def test_no_peer_raises(self):
-        with pytest.raises(ActionError, match="target has no subnet peers"):
-            attack("sniffer_attack", "peer")
+    def test_no_peer_is_not_possible(self):
+        assert "target has no subnet peers" in attack("sniffer_attack", "peer")
 
     def test_peer_off_subnet_is_precondition_error(self):
         other = TargetSpec("far", "linux", subnet="lan1")
-        with pytest.raises(ActionError, match="far is not on target's subnet"):
-            attack("sniffer_attack", "far", others=(self.PEER, other))
+        assert "far is not on target's subnet" in attack("sniffer_attack", "far",
+                                                         others=(self.PEER, other))
 
     def test_uncompromisable_peer_no_draw(self):
         bare = TargetSpec("bare", "linux", subnet="lan0")
         rng = fixed(0.99)
-        out = attack("sniffer_attack", "bare", others=(bare,), draw=rng)
-        assert not out.success and rng.consumed == 0
+        success, _, _ = attack("sniffer_attack", "bare", others=(bare,), draw=rng)
+        assert not success and rng.consumed == 0
 
     def test_target_is_not_its_own_peer(self):
         rng = fixed(0.99)
-        with pytest.raises(ActionError, match="target is not its own subnet peer"):
-            attack("sniffer_attack", "target", others=(self.PEER,), draw=rng)
+        assert "target is not its own subnet peer" in attack(
+            "sniffer_attack", "target", others=(self.PEER,), draw=rng)
         assert rng.consumed == 0
 
     def test_self_sniff_is_logged_as_not_possible(self):
@@ -207,22 +211,22 @@ class TestSocialEngineering:
                                 Staff("b@example.org", 0.30)))
 
     def test_uses_most_susceptible_staffer(self):
-        out = attack("social_attack", spec=self.STAFFED, draw=fixed(0.70))
-        assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == \
+        success, _, evidence = attack("social_attack", spec=self.STAFFED, draw=fixed(0.70))
+        assert success
+        assert [literal_to_str(l) for l in evidence] == \
             ['phished("b@example.org")[source(t)]']
 
     def test_below_threshold_fails(self):
-        out = attack("social_attack", spec=self.STAFFED, draw=fixed(0.69))
-        assert not out.success
+        success, _, _ = attack("social_attack", spec=self.STAFFED, draw=fixed(0.69))
+        assert not success
 
-    def test_no_staff_raises(self):
-        with pytest.raises(ActionError, match="no staff known for target"):
-            attack("social_attack")
+    def test_no_staff_is_not_possible(self):
+        assert "no staff known for target" in attack("social_attack")
 
 
 class TestDispatch:
     SCENARIO = Scenario("s", (LAN_HOST,))
+    TABLES = SCENARIO.tables["target"]
 
     def test_execute_unknown_target(self):
         env = RunContext(self.SCENARIO, RunRng(0))
@@ -237,27 +241,27 @@ class TestDispatch:
         assert env.steps == []
 
     def test_resolve_routes_each_attack(self):
-        out = resolve_attack(self.SCENARIO, LAN_HOST, "password_attack", ("ssh",),
-                             Privilege.NONE, fixed(0.9))
-        assert out.success
-        assert [literal_to_str(l) for l in out.evidence] == \
+        success, _, evidence = resolve_attack(self.SCENARIO, self.TABLES, "password_attack",
+                                              ("ssh",), Privilege.NONE, fixed(0.9))
+        assert success
+        assert [literal_to_str(l) for l in evidence] == \
             ['credential(ssh, "456")[source(target)]']
 
     def test_resolve_sniffer_needs_a_peer(self):
-        with pytest.raises(ActionError, match="no subnet peers"):
-            resolve_attack(self.SCENARIO, LAN_HOST, "sniffer_attack", ("peer",),
-                           Privilege.NONE, fixed(0.9))
+        assert "no subnet peers" in resolve_attack(self.SCENARIO, self.TABLES, "sniffer_attack",
+                                                   ("peer",), Privilege.NONE, fixed(0.9))
 
     def test_thresholds_come_from_the_scenario(self):
         strict = Scenario("s", (LAN_HOST,), Thresholds(password=0.95))
-        assert not resolve_attack(strict, LAN_HOST, "password_attack", ("ssh",),
-                                  Privilege.NONE, fixed(0.9)).success
+        success, _, _ = resolve_attack(strict, strict.tables["target"], "password_attack",
+                                       ("ssh",), Privilege.NONE, fixed(0.9))
+        assert not success
 
     def test_one_draw_per_chance_based_attempt(self):
         rng = RunRng(7)
-        resolve_attack(self.SCENARIO, LAN_HOST, "password_attack", ("ssh",),
+        resolve_attack(self.SCENARIO, self.TABLES, "password_attack", ("ssh",),
                        Privilege.NONE, rng)
-        resolve_attack(self.SCENARIO, LAN_HOST, "bof_attack",
+        resolve_attack(self.SCENARIO, self.TABLES, "bof_attack",
                        ("cve_remote", "remote"), Privilege.NONE, rng)
         assert rng.consumed == 2
 
@@ -271,7 +275,8 @@ class TestRealizedRates:
     def _rate(self, action, *args, privilege=Privilege.NONE):
         # One scenario for all attempts: building one builds its tables.
         scenario, rng = Scenario("s", (LAN_HOST,)), RunRng(42)
-        hits = sum(resolve_attack(scenario, LAN_HOST, action, args, privilege, rng).success
+        tables = scenario.tables["target"]
+        hits = sum(resolve_attack(scenario, tables, action, args, privilege, rng)[0]
                    for _ in range(self.N))
         return hits / self.N
 
@@ -284,3 +289,56 @@ class TestRealizedRates:
     def test_local_bof_rate_is_point_seven(self):
         rate = self._rate("bof_attack", "cve_local", "local", privilege=Privilege.USER)
         assert abs(rate - 0.7) < 0.01
+
+
+# --- the verdict table against the checks ------------------------------------
+
+def _checked(scenario, spec, action, args, privilege, rng):
+    """An attempt adjudicated by the row's check itself, as resolve_attack
+    answers: the reason text, or (success, draw, evidence)."""
+    try:
+        chance = ACTIONS[action].check(scenario, spec, args, privilege)
+    except ActionError as e:
+        return str(e)
+    source = scenario.tables[spec.name].source
+    failed = (Literal(Atom(f"{action}_failed"), source),)
+    if chance is None:
+        return False, None, failed
+    threshold, evidence = chance
+    success, u = rng.chance(threshold)
+    return success, u, tuple(Literal(t, source) for t in evidence) if success else failed
+
+
+@settings(max_examples=10, deadline=None)
+@given(scenarios(), st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4))
+def test_the_verdict_table_answers_as_the_checks_do(scenario, draws):
+    # Every attack row, with arguments from the scenario's own names and one
+    # unknown name, at every privilege: the first attempt of a key fills the
+    # table and the second reads it, and both answer as the check does.
+    names = sorted({"unknown"}.union(
+        *({t.name} | set(t.service_names())
+          | {v.id for v in t.vulnerabilities} | {v.kind for v in t.vulnerabilities}
+          for t in scenario.targets)))
+    # The thresholds themselves, so that draws land on the u >= threshold edge
+    draws = draws + [getattr(scenario.thresholds, f) for f in vars(scenario.thresholds)]
+    attempts = 0
+    for spec in scenario.targets:
+        tables = scenario.tables[spec.name]
+        for action, row in ACTIONS.items():
+            if row.kind != ATTACK:
+                continue
+            for args in itertools.product(names, repeat=row.arity - 1):
+                for privilege in Privilege:
+                    u = draws[attempts % len(draws)]
+                    attempts += 1
+                    want_rng = RunRng(0, (u,))
+                    want = _checked(scenario, spec, action, args, privilege, want_rng)
+                    for _ in ("miss", "hit"):
+                        rng = RunRng(0, (u,))
+                        got = resolve_attack(scenario, tables, action, args, privilege, rng)
+                        assert got == want, (spec.name, action, args, privilege)
+                        assert rng.consumed == want_rng.consumed
+        # One entry per key attempted on this target
+        assert len(tables.attacks) == sum(
+            len(names) ** (row.arity - 1) * len(Privilege)
+            for row in ACTIONS.values() if row.kind == ATTACK)

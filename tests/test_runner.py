@@ -1,10 +1,12 @@
+import dataclasses
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
 
 from bdi_pentest import load_scenario, parse_program, reasoner
-from bdi_pentest.actions import ACTIONS, PROBE
+from bdi_pentest.actions import ACTIONS, ATTACK, PROBE
 from bdi_pentest.beliefs import BeliefBase
 from bdi_pentest.reasoner import init_agent
 from bdi_pentest.runner import (
@@ -214,6 +216,46 @@ def test_a_run_scenario_still_equals_a_fresh_load():
     assert scenario == fresh and hash(scenario) == hash(fresh)
     assert repr(scenario) == repr(fresh)
     assert pickle.loads(pickle.dumps(scenario)) == scenario
+
+
+def _pairs():
+    """(id, scenario text, agent text): the shipped pairs and the
+    benchmark's generated campaigns 1 to 5."""
+    sys.path.insert(0, str(SCENARIOS.parent / "benchmarks"))
+    import generate
+    shipped = [(f, (SCENARIOS / f).read_text(), (SCENARIOS / a).read_text())
+               for f, a in (("single_target.yaml", "single_target_agent.asl"),
+                            ("hardened.yaml", "single_target_agent.asl"),
+                            ("campaign.yaml", "campaign_agent.asl"))]
+    return shipped + [(f"generate.campaign({n})", *generate.campaign(n)[1:])
+                      for n in range(1, 6)]
+
+
+def _no_check(*args):
+    raise AssertionError("an attack's check ran for a key already in the table")
+
+
+@pytest.mark.parametrize("case", _pairs(), ids=lambda case: case[0])
+def test_a_warm_verdict_table_changes_no_output(case, monkeypatch):
+    _, text, agent = case
+    program = parse_program(agent)
+    warm = load_scenario(text)
+    warmed = range(1000, 1100)
+    results = run_batch(warm, program, warmed)
+    assert any(t.attacks for t in warm.tables.values())
+    for seed in range(40):
+        cold_report, cold_trace = run_scenario(load_scenario(text), program, seed=seed)
+        warm_report, warm_trace = run_scenario(warm, program, seed=seed)
+        assert warm_trace == cold_trace, f"seed {seed}"
+        for format in ("machine", "human"):
+            assert emit_report(warm_report, format) == emit_report(cold_report, format)
+    # A check runs once per key: with every check made to raise, the warmed
+    # seeds run as before, in process and in workers that fork with the patch.
+    for name, row in ACTIONS.items():
+        if row.kind == ATTACK:
+            monkeypatch.setitem(ACTIONS, name, dataclasses.replace(row, check=_no_check))
+    for workers in (1, 2):
+        assert run_batch(warm, program, warmed, workers=workers) == results
 
 
 def _no_recording(*args, **kwargs):
