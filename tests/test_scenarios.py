@@ -32,7 +32,7 @@ from bdi_pentest.targets import (
     TargetSpec,
     Thresholds,
     Vulnerability,
-    _Loader,
+    _read_yaml,
     load_scenario,
 )
 
@@ -272,7 +272,7 @@ def test_the_loader_reads_yaml_as_pure_python_pyyaml_does(case, data):
         pass
     else:
         try:
-            loaded = yaml.load(text.encode(errors="surrogatepass"), Loader=_Loader)
+            loaded = _read_yaml(text.encode(errors="surrogatepass"))
         except yaml.YAMLError:
             # libyaml refuses some flow sequence items that PyYAML reads as
             # a one-pair mapping with a null value, such as those of `[?]`

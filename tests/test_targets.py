@@ -14,6 +14,7 @@ from bdi_pentest.targets import (
     TargetSpec,
     Thresholds,
     Vulnerability,
+    _read_yaml,
     handle_probe,
     load_scenario,
 )
@@ -199,6 +200,120 @@ def test_yaml_alias_errors(text, message):
     with pytest.raises(ConfigError) as e:
         load_scenario(text)
     assert str(e.value) == f"<root>: {message}"
+
+
+ONE = "targets: [{name: t, os: linux}]\n"
+
+
+@pytest.mark.parametrize("text", [
+    # Merge keys: one mapping; a list of them, the earlier winning a key
+    # both hold; a mapping's own key over a merged one; a merged mapping
+    # that itself merges; a merge in a scenario; and merges refused.
+    "a: &a {x: 1, y: 2}\nb: {<<: *a, z: 3}\n",
+    "a: &a {x: 1, y: 2}\nb: &b {y: 3, w: 4}\nc: {<<: [*a, *b]}\n",
+    "a: &a {x: 1, y: 2}\nb: {y: 5, <<: *a, x: 6}\n",
+    "a: &a {x: 1}\nb: &b {<<: *a, y: 2}\nc: {<<: *b, z: 3}\n",
+    "a: &a {x: 1}\nb: {<<: *a, <<: {x: 2, v: 0}}\n",
+    "targets:\n  - &t {name: a, os: linux}\n  - {<<: *t, name: b}\n",
+    "a: {<<: 1}\n",
+    "a: {<<: [{x: 1}, 2]}\n",
+    "a: {<<: [[1]]}\n",
+    "a: [<<]\n",
+    "a: {<<: {x: 1}}\nb: [<<]\n",
+    # A plain `=` key is the text "="; a quoted "<<" is no merge key.
+    "=: 1\n",
+    "a: =\n",
+    "a: {&e =: *e}\n",
+    '"<<": {x: 1}\n',
+    # Explicit and non-specific tags on scalars.
+    "a: !!str 12\n",
+    'a: !!int "7"\n',
+    "a: !!float 1\n",
+    "a: !!bool\n",
+    "a: !!bool yes\n",
+    "a: !!null\n",
+    "a: !!binary aGVsbG8=\n",
+    "a: 2001-12-14t21:59:43.10-05:00\n",
+    "a: 2002-12-14\n",
+    "a: ! 12\n",
+    "a: !foo x\n",
+    # Texts a scalar's constructor cannot read.
+    "a: 2020-13-45\n",
+    "a: !!float abc\n",
+    "a: " + ":".join(["1"] * 200) + ".5\n",
+    # Of a construction error and a later syntax error, the syntax error;
+    # of two construction errors, the shallower first.
+    "a: !foo x\nb: [1\n",
+    "a: [!!bool maybe]\nb: !foo x\n",
+    # A complex key, refused as unhashable; an anchored scalar reused as a key.
+    "? [a]\n: 1\n",
+    "a: &k name\n*k : x\n",
+    # An alias of 2 levels where 14 are open, after a sibling 14 deep.
+    "a: " + "[" * 12 + "1" + "]" * 12 + "\nb: &x [1]\nc: " + "[" * 13 + "*x" + "]" * 13 + "\n",
+    # Empty, comments only, and two documents.
+    "",
+    "# just a comment\n",
+    "a: 1\n---\nb: 2\n",
+    "---\n...\n",
+    ONE,
+], ids=["merge", "merge-list", "merge-explicit-wins", "merge-of-merge", "merge-twice",
+        "merge-in-scenario", "merge-scalar", "merge-list-of-scalar", "merge-list-of-list",
+        "merge-key-as-item", "merge-key-then-item", "equals-key", "equals-value",
+        "equals-key-aliased", "quoted-merge-key", "str-tag",
+        "int-tag", "float-tag", "bare-bool-tag", "bool-tag", "null-tag", "binary-tag",
+        "timestamp", "date", "non-specific-tag", "local-tag", "bad-date", "bad-float",
+        "float-overflow", "syntax-error-last", "shallower-error-first", "complex-key", "anchored-key", "alias-16-deep", "empty", "comments-only",
+        "two-documents", "explicit-empty", "scenario"])
+def test_the_reader_reads_yaml_as_the_safe_loader_does(text):
+    # The same value, or both refuse: with an error of the same kind, and
+    # where PyYAML's composer or constructor refuses, with the same problem
+    # at the same place (libyaml words its syntax errors its own way).
+    try:
+        reference = yaml.load(text, Loader=yaml.SafeLoader)
+    except Exception as e:  # PyYAML refuses some texts with an exception of Python's
+        reference = e
+    try:
+        value = _read_yaml(text.encode())
+    except (yaml.YAMLError, ConfigError) as e:
+        assert isinstance(reference, Exception), text
+        if isinstance(reference, yaml.MarkedYAMLError):
+            assert type(e) is type(reference)
+        if isinstance(reference, (yaml.composer.ComposerError, yaml.constructor.ConstructorError)):
+            assert (e.problem, e.problem_mark.line, e.problem_mark.column) == (
+                reference.problem, reference.problem_mark.line, reference.problem_mark.column)
+    else:
+        assert repr(value) == repr(reference)
+    # A scenario loads from it, or is refused on one line.
+    try:
+        load_scenario(text)
+    except ConfigError as e:
+        assert "\n" not in str(e) and len(str(e)) < 300
+
+
+@pytest.mark.parametrize("text,where", [
+    ("a: !!set {x: null}\n", "mapping tagged 'tag:yaml.org,2002:set', which is not read "
+     "at line 1, column 4"),
+    ("a:\n  - !!omap [{x: 1}]\n", "sequence tagged 'tag:yaml.org,2002:omap', which is not "
+     "read at line 2, column 5"),
+    ("a: !!pairs [{x: 1}, {x: 2}]\n", "sequence tagged 'tag:yaml.org,2002:pairs', which is "
+     "not read at line 1, column 4"),
+    ("a: !tag {x: 1}\n", "mapping tagged '!tag', which is not read at line 1, column 4"),
+    ("a: !!str [x]\n", "sequence tagged 'tag:yaml.org,2002:str', which is not read "
+     "at line 1, column 4"),
+    ("<<: !!set {seed: 1}\n" + ONE, "mapping tagged 'tag:yaml.org,2002:set', which is not "
+     "read at line 1, column 5"),
+], ids=["set", "omap", "pairs", "local-tag", "str-tag", "set-merged"])
+def test_a_collection_tagged_other_than_map_or_seq_is_refused_at_it(text, where):
+    with pytest.raises(ConfigError) as e:
+        load_scenario(text)
+    assert str(e.value) == f"<root>: invalid YAML: found a {where}"
+
+
+def test_a_long_tag_is_shortened_in_its_error_line():
+    with pytest.raises(ConfigError) as e:
+        load_scenario("seed: !" + "x" * 1000 + " 1\n" + ONE)
+    assert "could not determine a constructor for the tag '!xxx" in str(e.value)
+    assert str(e.value).endswith("at line 1, column 7") and len(str(e.value)) < 300
 
 
 RICH_YAML = """
