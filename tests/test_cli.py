@@ -181,7 +181,7 @@ def _no_batch(*args, **kwargs):
     ([], None, "!g.\n" + "p(" * 2000 + "a" + ")" * 2000 + ".\n", "nested more than"),
     ([], None, "!g.\n+!g : " + "a & " * 3000 + "a <- act.\n", "nested more than"),
     # YAML nested past 16 levels, in text or through aliases, is refused
-    # before PyYAML's recursive composer, and a YAML error is one line.
+    # where it gets too deep, and a YAML error is one line.
     ([], "targets: " + "[" * 5000 + "]" * 5000 + "\n", None, "nested more than 16"),
     ([], "".join("  " * i + f"k{i}:\n" for i in range(3000)), None, "nested more than 16"),
     ([], "targets: [&a0 [1], " + ", ".join(f"&a{i} [*a{i - 1}]" for i in range(1, 3000))

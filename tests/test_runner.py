@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import sys
 from pathlib import Path
@@ -6,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from bdi_pentest import load_scenario, parse_program, reasoner
-from bdi_pentest.actions import ACTIONS, ATTACK, PROBE
+from bdi_pentest.actions import ACTIONS, ATTACK, PROBE, ActionRow
 from bdi_pentest.beliefs import BeliefBase
 from bdi_pentest.reasoner import init_agent
 from bdi_pentest.runner import (
@@ -253,7 +252,8 @@ def test_a_warm_verdict_table_changes_no_output(case, monkeypatch):
     # seeds run as before, in process and in workers that fork with the patch.
     for name, row in ACTIONS.items():
         if row.kind == ATTACK:
-            monkeypatch.setitem(ACTIONS, name, dataclasses.replace(row, check=_no_check))
+            monkeypatch.setitem(ACTIONS, name, ActionRow(
+                **{f: getattr(row, f) for f in row._fields} | {"check": _no_check}))
     for workers in (1, 2):
         assert run_batch(warm, program, warmed, workers=workers) == results
 

@@ -17,7 +17,6 @@ The loader's YAML reading is checked against PyYAML's pure-Python
 """
 
 import copy
-from dataclasses import fields, is_dataclass
 
 import pytest
 import yaml
@@ -35,6 +34,7 @@ from bdi_pentest.targets import (
     _read_yaml,
     load_scenario,
 )
+from bdi_pentest.terms import _Record
 
 ROLES = ("remote", "web", "login", "pivot", "staff")
 LOGIN_PORTS = {"ssh": 22, "ftp": 21, "telnet": 23, "mysql": 3306}
@@ -80,25 +80,27 @@ def scenarios(draw):
     targets = tuple(draw(_target(names[i], ROLES[i % len(ROLES)], subnets[i % len(subnets)]))
                     for i in range(n))
     thresholds = draw(st.fixed_dictionaries(
-        {}, optional={f.name: _probabilities for f in fields(Thresholds)}))
+        {}, optional={name: _probabilities for name in Thresholds._fields}))
     return Scenario(draw(st.one_of(st.just("scenario"), _names)), targets,
                     Thresholds(**thresholds), draw(st.integers(0, 2 ** 64 - 1)),
                     draw(st.integers(1, 10 ** 9)))
 
 
 def _raw(obj, lean: bool):
-    """The YAML value of a scenario dataclass: a mapping of its `init`
-    fields, lists for tuples, a digits-only secret as an integer. `lean`
-    leaves out every field equal to its default, and the name "scenario"."""
+    """The YAML value of a scenario record: a mapping of its fields, lists
+    for tuples, a digits-only secret as an integer. `lean` leaves out every
+    field equal to its constructor's default, and the name "scenario"."""
     if isinstance(obj, tuple):
         return [_raw(x, lean) for x in obj]
-    if not is_dataclass(obj):
+    if not isinstance(obj, _Record):
         return obj
+    defaults = type(obj).__init__.__defaults__ or ()
+    defaults = dict(zip(obj._fields[len(obj._fields) - len(defaults):], defaults))
     out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.init and not (lean and value == f.default):
-            out[f.name] = _raw(value, lean)
+    for name in obj._fields:
+        value = getattr(obj, name)
+        if not (lean and name in defaults and value == defaults[name]):
+            out[name] = _raw(value, lean)
     if isinstance(obj, Credential) and obj.secret.isdigit():
         out["secret"] = int(obj.secret)
     if isinstance(obj, Scenario) and lean and obj.name == "scenario":

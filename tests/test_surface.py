@@ -3,6 +3,9 @@ and property of its public classes, has a caller outside the tests: a name
 only tests reach is code kept for the tests alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,3 +72,14 @@ def test_the_catalog_imports_nothing_from_the_scenario_at_run_time():
                    for stmt in node.body for n in ast.walk(stmt)}
     assert [ast.unparse(node) for node in ast.walk(tree)
             if _names_targets(node) and id(node) not in typing_only] == []
+
+
+def test_the_cli_imports_no_dataclasses_or_inspect():
+    """The CLI's cold start pays for no record boilerplate: `dataclasses`
+    and the `inspect` it pulls in stay unimported."""
+    code = ("import sys, bdi_pentest.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

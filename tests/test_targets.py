@@ -309,6 +309,18 @@ def test_a_collection_tagged_other_than_map_or_seq_is_refused_at_it(text, where)
     assert str(e.value) == f"<root>: invalid YAML: found a {where}"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("seed: !!int abc\n", "could not construct 'tag:yaml.org,2002:int' from 'abc'"),
+    ("seed: !!int 0xzz\n", "could not construct 'tag:yaml.org,2002:int' from '0xzz'"),
+    ("seed: 1" + "0" * 5000 + "\n", "integer has too many digits"),
+], ids=["int-tag-text", "int-tag-bad-hex", "int-5000-digits"])
+def test_an_int_is_refused_at_it_with_why(text, message):
+    # Only a decimal form past the interpreter's digit limit has too many digits.
+    with pytest.raises(ConfigError) as e:
+        load_scenario(text + ONE)
+    assert str(e.value) == f"<root>: invalid YAML: {message} at line 1, column 7"
+
+
 def test_a_long_tag_is_shortened_in_its_error_line():
     with pytest.raises(ConfigError) as e:
         load_scenario("seed: !" + "x" * 1000 + " 1\n" + ONE)
