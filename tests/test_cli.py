@@ -71,6 +71,18 @@ def test_an_empty_draw_between_commas_is_skipped(capsys):
     assert outputs[0].out.startswith(SIM1_TRACE)
 
 
+@pytest.mark.parametrize("draws", ["-0.0,0.6", "-0,0.6", "-0e3,0.6"])
+def test_a_negative_zero_draw_is_read_as_zero(capsys, draws):
+    outputs = []
+    for text in (draws, "0.0,0.6"):
+        assert run_cli("--scenario", SCENARIO_FILE, "--agent", AGENT, f"--draws={text}",
+                       "--format", "machine") == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "The rate of ssh password attack is 0.0\n" in outputs[0].out
+    assert '"draw": 0.0' in outputs[0].out
+
+
 def test_hardened_run_exits_one(capsys):
     code = run_cli("--scenario", HARDENED, "--agent", AGENT)
     assert code == 1

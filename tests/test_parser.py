@@ -136,6 +136,11 @@ def test_trigger_forms_are_bijective():
     ("p(²).", 1, 3, "unexpected character '²'"),
     ("p(٣).", 1, 3, "unexpected character '٣'"),
     ('p("ab', 1, 3, "unterminated string literal"),
+    # An internal action's name starts lowercase, any letter; before any
+    # other name a `.` ends the statement.
+    ("+!g : true <- .éa(x).", 1, 15, "unknown internal action .éa"),
+    ("+!g : true <- .Éa(x).", 1, 15, "expected a plan body step, found '.'"),
+    ("+!g : true <- .Ea(x).", 1, 15, "expected a plan body step, found '.'"),
     ("port(80).\r\nport(81) x.\r\n", 2, 10, "expected '.' after belief"),
     # Positions count the LFs before the token, and the characters since the
     # last one: past a string that spans lines, a comment, a tab, a

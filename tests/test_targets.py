@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from bdi_pentest.actions import ACTIONS, PROBE
+from bdi_pentest.beliefs import source_of
 from bdi_pentest.targets import (
     ConfigError,
     Credential,
@@ -380,7 +381,7 @@ class TestHandleProbe:
                       staff=(Staff("ops@example.org"),))
 
     def probe(self, action):
-        return handle_probe(self.SPEC, ACTIONS[action].facet)
+        return handle_probe(self.SPEC, ACTIONS[action].facet, source_of(self.SPEC.name))
 
     def percepts(self, action):
         return [literal_to_str(l) for l in self.probe(action)[0]]
@@ -396,10 +397,10 @@ class TestHandleProbe:
         assert self.percepts("probe_emails") == ['email("ops@example.org")[source(target)]']
 
     def test_one_trace_line_per_percept(self):
-        assert self.probe("probe_ports")[1] == ["The target port are :80",
-                                                "The target port are :22"]
-        assert self.probe("probe_vulnerabilities")[1] == [
-            "The target remote vulnerability is :cve_remote"]
+        assert self.probe("probe_ports")[1] == ("The target port are :80",
+                                                "The target port are :22")
+        assert self.probe("probe_vulnerabilities")[1] == (
+            "The target remote vulnerability is :cve_remote",)
         for name, row in ACTIONS.items():
             if row.kind == PROBE:
                 percepts, lines = self.probe(name)
